@@ -1,8 +1,7 @@
 // Capture pipeline: the full stack in one program. A two-core goroutine
 // dataplane runs real NFs (monitor on core 0, DPI on core 1) over real
-// frames; every frame that survives the chain is mirrored through a tap
-// into a Wireshark-readable pcap file, which is then read back and
-// summarized.
+// frames; the sink mirrors every frame that survives the chain into a
+// Wireshark-readable pcap file, which is then read back and summarized.
 //
 // Run:
 //
@@ -41,23 +40,22 @@ func main() {
 		panic(err)
 	}
 	w := pcap.NewWriter(f, 0)
-	e.Tap(func(p *dataplane.Packet) {
+	e.SetSink(func(ps []*dataplane.Packet) {
 		// Frames the DPI killed mid-chain were recycled at the DPI stage
-		// (Packet.Drop) and never reach the tap; survivors carry their
+		// (Packet.Drop) and never reach the sink; survivors carry their
 		// arena frame.
-		if len(p.Frame) == 0 {
-			return
+		now := time.Now()
+		for _, p := range ps {
+			if len(p.Frame) > 0 {
+				w.WritePacket(now, p.Frame)
+			}
 		}
-		w.WritePacket(time.Now(), p.Frame)
+		e.PutPacketBatch(ps) // recycle the descriptors and their arena frames
 	})
 
 	ctx, cancel := context.WithCancel(context.Background())
-	go e.Run(ctx)
-	go func() {
-		for p := range e.Output() {
-			e.PutPacket(p) // recycle the descriptor and its arena frame
-		}
-	}()
+	runDone := make(chan struct{})
+	go func() { e.Run(ctx); close(runDone) }()
 
 	// Offer a mix of benign and malicious traffic.
 	macA := proto.MAC{2, 0, 0, 0, 0, 1}
@@ -87,6 +85,7 @@ func main() {
 	}
 	time.Sleep(300 * time.Millisecond)
 	cancel()
+	<-runDone // the sink runs on the engine's mover: stop it before flushing
 	w.Flush()
 	f.Close()
 
@@ -102,7 +101,7 @@ func main() {
 	}
 	fmt.Printf("injected %d frames across 2 cores (monitor@0 → dpi@1)\n", sent)
 	fmt.Printf("monitor tracked %d flows; dpi dropped %d malicious frames\n", mon.Flows(), dpi.Dropped)
-	fmt.Printf("tap captured %d surviving frames to %s (Wireshark-readable)\n", len(pkts), out)
+	fmt.Printf("sink captured %d surviving frames to %s (Wireshark-readable)\n", len(pkts), out)
 	if len(pkts) > 0 {
 		fr, _ := proto.Decode(pkts[0].Data)
 		fmt.Printf("first captured frame: %v:%d -> %v:%d, %d bytes\n",

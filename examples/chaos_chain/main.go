@@ -154,7 +154,7 @@ func main() {
 		}
 	}
 	injected := e.Injected.Load()
-	accounted := e.Delivered.Load() + e.OutputDrops.Load() + midDrops +
+	accounted := e.Delivered.Load() + midDrops +
 		e.NFDrops.Load() + e.FaultDrops.Load() + e.ShutdownDrops.Load()
 	fmt.Printf("\ninjected=%d delivered=%d faultDrops=%d entryShed=%d shutdownDrops=%d\n",
 		injected, e.Delivered.Load(), e.FaultDrops.Load(),

@@ -40,7 +40,7 @@ func reconcile(e *dataplane.Engine, entry map[string]bool) (uint64, uint64) {
 			midDrops += s.QueueDrops
 		}
 	}
-	acc := e.Delivered.Load() + e.OutputDrops.Load() + midDrops +
+	acc := e.Delivered.Load() + midDrops +
 		e.NFDrops.Load() + e.FaultDrops.Load() + e.ShutdownDrops.Load() +
 		e.RemoteDelivered.Load() + e.RemoteDrops.Load()
 	return e.Injected.Load(), acc

@@ -166,9 +166,9 @@ func main() {
 			printed++
 		}
 	}
-	fmt.Printf("\ninjected=%d delivered=%d entryDrops=%d ringDrops=%d outputDrops=%d throttleEvents=%d events=%d(dropped %d)\n",
+	fmt.Printf("\ninjected=%d delivered=%d entryDrops=%d ringDrops=%d throttleEvents=%d events=%d(dropped %d)\n",
 		e.Injected.Load(), e.Delivered.Load(), e.EntryDrops.Load(), e.RingDrops.Load(),
-		e.OutputDrops.Load(), e.ThrottleEvents.Load(), events.Total(), events.Dropped())
+		e.ThrottleEvents.Load(), events.Total(), events.Dropped())
 	if *sample > 0 {
 		fmt.Printf("spans: %+v\n", e.SpanStats())
 	}

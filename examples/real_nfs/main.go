@@ -65,26 +65,18 @@ func main() {
 	}
 	e.MapFlow(0, ch)
 
+	// Frames an NF drops mid-chain are recycled there and charged to the
+	// ledger; only survivors reach the sink.
+	survived := 0
+	e.SetSink(func(ps []*dataplane.Packet) {
+		survived += len(ps)
+		e.PutPacketBatch(ps)
+	})
+
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 	defer cancel()
-	go e.Run(ctx)
-
-	// Frames an NF drops mid-chain are recycled there and charged to the
-	// ledger; only survivors reach the output.
-	survived := 0
 	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			select {
-			case p := <-e.Output():
-				survived++
-				e.PutPacket(p)
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
+	go func() { e.Run(ctx); close(done) }()
 
 	// Inject a realistic mix: DNS queries (allowed), HTTP (allowed, one
 	// carrying an exploit string the DPI kills), and SSH (firewalled).

@@ -17,8 +17,8 @@ func benchConfig() Config {
 }
 
 // benchInflight bounds the closed-loop window. Keeping it below every ring's
-// high watermark and the output channel capacity guarantees zero drops, so
-// exactly b.N packets cross the pipeline and the benchmark is deterministic.
+// high watermark guarantees zero drops, so exactly b.N packets cross the
+// pipeline and the benchmark is deterministic.
 const benchInflight = 1024
 
 // benchBatch is the injection batch size for the bulk path.
@@ -121,41 +121,6 @@ func runChainBenchEngine(b *testing.B, e *Engine) {
 	reportRate(b, time.Since(start))
 }
 
-// runChainBenchChannel is the compatibility path: per-packet Inject and the
-// Output channel, still recycling descriptors through the freelist.
-func runChainBenchChannel(b *testing.B, stages int) {
-	e := newBenchEngine(b, stages)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go e.Run(ctx)
-	out := e.Output()
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	start := time.Now()
-	injected, received := 0, 0
-	for received < b.N {
-		if injected < b.N && injected-received < benchInflight {
-			p := e.GetPacket()
-			p.FlowID = 0
-			p.Size = 64
-			if e.Inject(p) {
-				injected++
-				continue
-			}
-			e.PutPacket(p)
-		}
-		select {
-		case p := <-out:
-			e.PutPacket(p)
-			received++
-		default:
-			runtime.Gosched()
-		}
-	}
-	reportRate(b, time.Since(start))
-}
-
 // BenchmarkInjectSteadyState measures the full inject→process→deliver path
 // through a single no-op stage on the batch-amortized hot path.
 func BenchmarkInjectSteadyState(b *testing.B) { runChainBench(b, 1) }
@@ -174,12 +139,6 @@ func BenchmarkChain3StagesSampled(b *testing.B) {
 	cfg.TraceSampleShift = 10 // 1 in 1024
 	runChainBenchEngine(b, newBenchEngineCfg(b, 3, cfg))
 }
-
-// BenchmarkInjectSteadyStateChannel and BenchmarkChain3StagesChannel keep
-// the pre-batching API (per-packet Inject, Output channel) measurable; the
-// pre-PR baseline in BENCH_dataplane.json was recorded on this path.
-func BenchmarkInjectSteadyStateChannel(b *testing.B) { runChainBenchChannel(b, 1) }
-func BenchmarkChain3StagesChannel(b *testing.B)      { runChainBenchChannel(b, 3) }
 
 // runChainBenchMovers is the multi-core variant of runChainBench: a
 // 3-stage chain with the TX path sharded across `movers` shards, the

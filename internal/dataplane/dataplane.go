@@ -12,14 +12,14 @@
 //
 // The steady-state hot path is allocation-free and batch-amortized, the
 // regime the paper's ≤32-packet grant quantum targets: packet descriptors
-// come from a per-engine freelist and are recycled on drop and (optionally,
-// via PutPacket or a batch Sink) on delivery; stage receive rings are
-// CAS-reserve multi-producer rings so injectors never contend with movers
-// on a lock; workers, movers and injectors move packets with bulk ring
-// operations that publish once per batch; and per-packet wall-clock reads
-// are replaced by a coarse engine clock sampled once per grant and once per
-// moved or injected batch, so end-to-end latency is accurate to within one
-// batch quantum.
+// come from a per-engine freelist and are recycled on drop and on delivery
+// (by the Sink, or by the engine itself when none is set); stage receive
+// rings are CAS-reserve multi-producer rings so injectors never contend
+// with movers on a lock; workers, movers and injectors move packets with
+// bulk ring operations that publish once per batch; and per-packet
+// wall-clock reads are replaced by a coarse engine clock sampled once per
+// grant and once per moved or injected batch, so end-to-end latency is
+// accurate to within one batch quantum.
 //
 // Threading model: user code injects packets from any number of producer
 // goroutines; each stage's handler runs on its own goroutine but only while
@@ -57,20 +57,18 @@ import (
 	"nfvnice/internal/telemetry"
 )
 
-// Packet is the unit of work flowing through a pipeline. Handlers may use
-// Userdata to carry per-packet state between stages.
+// Packet is the unit of work flowing through a pipeline. Per-packet state
+// travels between stages in Frame.
 //
 // Descriptors are pooled: obtain them with Engine.GetPacket (or a
 // PacketCache) and return delivered ones with PutPacket. Packets the engine
-// drops internally are recycled automatically unless Config.NoRecycle is
-// set, so a recycled packet must never be retained past the call that
-// surrendered it — copy what you need instead.
+// drops internally are recycled automatically, so a packet must never be
+// retained past the call that surrendered it — copy what you need instead.
 type Packet struct {
-	FlowID   int
-	ChainID  int
-	Size     int
-	Hop      int
-	Userdata any
+	FlowID  int
+	ChainID int
+	Size    int
+	Hop     int
 
 	// Frame is the packet's wire bytes, backed by a preallocated arena
 	// slot that travels with the descriptor (Config.FrameSize > 0).
@@ -105,15 +103,15 @@ type Packet struct {
 	poolState int32
 }
 
-// Handler processes one packet at a stage.
+// Handler processes one packet at a stage (see AddStage, which runs it in a
+// loop over each batch).
 type Handler func(*Packet)
 
-// BatchHandler processes a whole dequeued batch at a stage in one call —
-// the amortized dispatch path for frame-native NFs (one closure invocation
-// and one interface dispatch per batch instead of per packet). Handlers
-// mark discards by setting Packet.Drop; the worker routes them to NFDrops
-// exactly as on the per-packet path. The slice is the worker's scratch and
-// must not be retained past the call.
+// BatchHandler is the engine's handler shape: it processes a whole dequeued
+// batch (at most Config.BatchSize packets) in one call, as libnf hands an NF
+// a burst of descriptors. Handlers mark discards by setting Packet.Drop; the
+// worker recycles those and charges them to NFDrops. The slice is the
+// worker's scratch and must not be retained past the call.
 type BatchHandler func([]*Packet)
 
 // Config tunes the runtime.
@@ -126,8 +124,8 @@ type Config struct {
 	// manager TX threads). Each mover owns a static partition of the
 	// stages' tx rings — stage i belongs to mover i mod Movers — so every
 	// tx ring keeps a single consumer and per-flow FIFO is preserved.
-	// 0 takes min(Cores, GOMAXPROCS). With Movers > 1 the Sink and Tap
-	// callbacks may be invoked concurrently from multiple movers.
+	// 0 takes min(Cores, GOMAXPROCS). With Movers > 1 the Sink callback
+	// may be invoked concurrently from multiple movers.
 	Movers int
 	// BackpressurePeriod is the control plane's queue-length sampling
 	// cadence: how often the watermark backpressure state machine runs
@@ -166,11 +164,6 @@ type Config struct {
 	// length, so the steady-state frame path allocates nothing. 0 (the
 	// default) leaves Frame nil and the arena unallocated.
 	FrameSize int
-	// NoRecycle disables automatic recycling of packets the engine drops
-	// (shed batches, full rings, full output). Set it when the producer
-	// retains references to injected packets; GetPacket/PutPacket still
-	// work, they just never race the engine for ownership.
-	NoRecycle bool
 
 	// GrantTimeout bounds how long the scheduler waits for a granted stage
 	// to finish its batch. A stage that overruns it is detached and marked
@@ -310,11 +303,8 @@ type stage struct {
 	id   int
 	core int
 	name string
-	fn   Handler
-	// bfn, when non-nil, replaces fn with whole-batch dispatch (see
-	// runChunkBatch): the worker hands the handler its dequeued chunk in
-	// one call. Exactly one of fn/bfn is set for local stages.
-	bfn BatchHandler
+	// fn receives each dequeued chunk whole (see runBatch).
+	fn BatchHandler
 	// rx is a CAS-reserve multi-producer ring: injector goroutines and the
 	// mover enqueue concurrently without a lock; the stage's live worker is
 	// normally the single consumer (a detached worker incarnation may race
@@ -421,9 +411,9 @@ type Engine struct {
 	jitterMu   sync.Mutex
 	jitterRand *rand.Rand
 
-	out  chan *Packet
+	// sink receives delivered packets (see SetSink); nil means the engine
+	// recycles them itself.
 	sink func([]*Packet)
-	tap  func(*Packet)
 
 	// free is the shared packet freelist (see GetPacket/PutPacket and
 	// PacketCache for the per-producer caches layered on top).
@@ -440,7 +430,7 @@ type Engine struct {
 	_           ring.Pad
 
 	// Injected counts packets accepted into a chain entry ring; Delivered,
-	// EntryDrops, RingDrops and OutputDrops count packet outcomes;
+	// EntryDrops and RingDrops count packet outcomes;
 	// ThrottleEvents counts chain-throttle activations.
 	//
 	// Fault-tolerance classes: FaultEntryDrops counts packets shed at the
@@ -459,7 +449,7 @@ type Engine struct {
 	// Reconciliation: once the pipeline quiesces — and, with the shutdown
 	// drain, after Run returns —
 	//
-	//	Injected == Delivered + MidRingDrops + OutputDrops
+	//	Injected == Delivered + MidRingDrops
 	//	          + NFDrops + FaultDrops + ShutdownDrops
 	//	          + RemoteDelivered + RemoteDrops
 	//
@@ -477,7 +467,6 @@ type Engine struct {
 	RingDrops       atomic.Uint64 // producer- and mover-written (entry vs mid-chain)
 	_               ring.Pad
 	Delivered       atomic.Uint64 // mover-written
-	OutputDrops     atomic.Uint64 // mover-written
 	// MidRingDrops is the mover-written subset of RingDrops: packets that
 	// were already accepted (counted Injected) and then died at a full
 	// mid-chain receive ring. Entry-ring drops are pre-acceptance and appear
@@ -638,7 +627,6 @@ func New(cfg Config) *Engine {
 		cfg:        cfg,
 		highWater:  high,
 		lowWater:   low,
-		out:        make(chan *Packet, cfg.RingSize),
 		free:       ring.NewMPMC[*Packet](cfg.PoolSize),
 		drainBuf:   make([]*Packet, cfg.BatchSize),
 		jitterRand: rand.New(rand.NewSource(cfg.JitterSeed)),
@@ -696,33 +684,31 @@ func New(cfg Config) *Engine {
 	return e
 }
 
-// AddStage registers an NF on core 0 with the given initial weight (1024 =
-// one default share). Must be called before Run.
+// AddStage is AddStageOn on core 0.
 func (e *Engine) AddStage(name string, weight int64, fn Handler) int {
 	return e.AddStageOn(name, weight, 0, fn)
 }
 
-// AddStageOn registers an NF pinned to the given core. Must be called
-// before Run.
+// AddStageOn is sugar for per-packet NFs: it registers a batch stage that
+// calls fn on each packet of the batch in turn.
 func (e *Engine) AddStageOn(name string, weight int64, core int, fn Handler) int {
-	return e.addStage(name, weight, core, fn, nil)
+	return e.AddBatchStageOn(name, weight, core, func(ps []*Packet) {
+		for _, p := range ps {
+			fn(p)
+		}
+	})
 }
 
-// AddBatchStage registers a batch-dispatch NF on core 0: the handler
-// receives each dequeued chunk whole instead of packet by packet, so
-// frame-native NFs amortize dispatch and lookup costs across the batch.
-// Must be called before Run.
+// AddBatchStage registers an NF on core 0 with the given initial weight
+// (1024 = one default share). Must be called before Run.
 func (e *Engine) AddBatchStage(name string, weight int64, fn BatchHandler) int {
 	return e.AddBatchStageOn(name, weight, 0, fn)
 }
 
-// AddBatchStageOn registers a batch-dispatch NF pinned to the given core.
-// Must be called before Run.
+// AddBatchStageOn registers an NF pinned to the given core: the handler
+// receives each dequeued chunk whole, so NFs amortize dispatch and lookup
+// costs across the batch. Must be called before Run.
 func (e *Engine) AddBatchStageOn(name string, weight int64, core int, fn BatchHandler) int {
-	return e.addStage(name, weight, core, nil, fn)
-}
-
-func (e *Engine) addStage(name string, weight int64, core int, fn Handler, bfn BatchHandler) int {
 	if core < 0 || core >= e.cfg.Cores {
 		panic("dataplane: stage core out of range")
 	}
@@ -731,7 +717,6 @@ func (e *Engine) addStage(name string, weight int64, core int, fn Handler, bfn B
 		core: core,
 		name: name,
 		fn:   fn,
-		bfn:  bfn,
 		rx:   ring.NewMPMC[*Packet](e.cfg.RingSize),
 		tx:   ring.NewMPMC[*Packet](e.cfg.RingSize),
 	}
@@ -804,18 +789,12 @@ func (e *Engine) SetWeight(stageID int, w int64) {
 	e.stages[stageID].weight.Store(w)
 }
 
-// Output delivers packets that completed their chains. The consumer must
-// drain it; a full output channel backpressures the final stages. Return
-// packets with PutPacket (or a PacketCache) once consumed to keep the hot
-// path allocation-free. Unused when a Sink is set.
-func (e *Engine) Output() <-chan *Packet { return e.out }
-
-// SetSink replaces the Output channel with a callback invoked on a mover
-// goroutine with each batch of delivered packets — the batch-amortized
-// delivery path (no per-packet channel operation). The sink owns the
-// packets; recycle them with PutPacket or a PacketCache when done. The slice
-// is reused after the call returns — don't retain it. Must be called before
-// Run.
+// SetSink registers the engine's one way out: a callback invoked on a mover
+// goroutine with each batch of packets that completed their chains. The
+// sink owns the packets; recycle them with PutPacket, PutPacketBatch or a
+// PacketCache when done. The slice is reused after the call returns — don't
+// retain it. Without a sink the engine counts deliveries and recycles the
+// packets itself. Must be called before Run.
 //
 // Sink concurrency: with Config.Movers > 1 the sink may be invoked
 // concurrently from multiple movers, so it must be safe for concurrent
@@ -906,8 +885,8 @@ func (e *Engine) lateSweep(s *stage) {
 // publishing each run of same-flow packets with a single ring reservation.
 // It reports how many were accepted. Unlike Inject, the engine consumes the
 // whole slice: packets shed by backpressure, full rings or missing routes
-// are dropped (and recycled unless Config.NoRecycle), so the caller must not
-// reuse any packet in ps afterwards.
+// are dropped and recycled, so the caller must not reuse any packet in ps
+// afterwards.
 func (e *Engine) InjectBatch(ps []*Packet) int {
 	if len(ps) == 0 {
 		return 0
@@ -918,14 +897,14 @@ func (e *Engine) InjectBatch(ps []*Packet) int {
 		// will ever drain.
 		e.LateDrops.Add(uint64(len(ps)))
 		for _, p := range ps {
-			e.freePacket(p)
+			e.PutPacket(p)
 		}
 		return 0
 	}
 	now := time.Now().UnixNano()
 	e.coarseNanos.Store(now)
 	// Sample the whole batch up front (one atomic add); packets the loop
-	// below sheds abort their spans through freePacket.
+	// below sheds abort their spans when it recycles them.
 	if e.rec != nil {
 		e.sampleBatch(ps, now)
 	}
@@ -957,7 +936,7 @@ func (e *Engine) enqueueRouted(ps []*Packet, now int64, rc *recycler) int {
 		if rc != nil {
 			rc.put(p)
 		} else {
-			e.freePacket(p)
+			e.PutPacket(p)
 		}
 	}
 	accepted := 0
@@ -1134,7 +1113,7 @@ func (e *Engine) worker(s *stage, w *workerCtx) {
 // incarnation's scratch batch. Each chunk publishes its size in w.inflight
 // before running the handler; whoever Swap()s it to zero — this worker on
 // the happy path, the scheduler on detach, the final sweep at shutdown —
-// owns the accounting for those packets (see runChunk).
+// owns the accounting for those packets (see runBatch).
 func (e *Engine) runGrant(s *stage, w *workerCtx, budget int) (res grantResult, exit bool) {
 	start := time.Now()
 	n := 0
@@ -1148,15 +1127,7 @@ func (e *Engine) runGrant(s *stage, w *workerCtx, budget int) (res grantResult, 
 			break
 		}
 		w.inflight.Store(int64(k))
-		var live, done int
-		var panicked bool
-		var pmsg string
-		if s.bfn != nil {
-			live, done, panicked, pmsg = e.runChunkBatch(s, w, k)
-		} else {
-			live, done, panicked, pmsg = e.runChunk(s, w, k)
-		}
-		n += done
+		live, panicked, pmsg := e.runBatch(s, w, k)
 		if panicked {
 			s.busyNanos.Add(time.Since(start).Nanoseconds())
 			if n > 0 {
@@ -1164,26 +1135,21 @@ func (e *Engine) runGrant(s *stage, w *workerCtx, budget int) (res grantResult, 
 			}
 			return grantResult{panicked: true, panicVal: pmsg}, true
 		}
+		n += k
 		if live > 0 {
 			if claimed := w.inflight.Swap(0); claimed == 0 {
 				// The scheduler detached us mid-chunk and already charged
 				// these packets as fault drops; recycle without counting.
-				for i := 0; i < live; i++ {
-					e.freePacket(w.batch[i])
-				}
+				e.PutPacketBatch(w.batch[:live])
 				s.busyNanos.Add(time.Since(start).Nanoseconds())
-				if n > 0 {
-					s.processed.Add(uint64(n))
-				}
+				s.processed.Add(uint64(n))
 				return res, true
 			}
 			if e.stopped.Load() {
 				// Run already returned: the mover is gone, so delivering
 				// into tx would strand the packets uncounted.
 				e.ShutdownDrops.Add(uint64(live))
-				for i := 0; i < live; i++ {
-					e.freePacket(w.batch[i])
-				}
+				e.PutPacketBatch(w.batch[:live])
 			} else {
 				// The scheduler only grants while tx has a batch of free
 				// space and the owning mover only removes, so this completes
@@ -1197,9 +1163,7 @@ func (e *Engine) runGrant(s *stage, w *workerCtx, budget int) (res grantResult, 
 					}
 					if e.stopped.Load() {
 						e.ShutdownDrops.Add(uint64(len(rem)))
-						for _, p := range rem {
-							e.freePacket(p)
-						}
+						e.PutPacketBatch(rem)
 						break
 					}
 					runtime.Gosched()
@@ -1219,108 +1183,35 @@ func (e *Engine) runGrant(s *stage, w *workerCtx, budget int) (res grantResult, 
 	return res, false
 }
 
-// runChunk runs the handler over batch[:k], compacting survivors to the
-// front. It recovers handler panics: on panic the unaccounted remainder of
-// the chunk is claimed back from w.inflight (unless the scheduler already
-// detached us and charged it) and recycled, so no packet escapes the drop
-// ledger. done is how many packets completed the handler.
-func (e *Engine) runChunk(s *stage, w *workerCtx, k int) (live, done int, panicked bool, pmsg string) {
-	i := 0
+// runBatch runs the stage's handler over batch[:k] in one call and compacts
+// the survivors to the front, reporting how many there are. The flight
+// recorder's enter/exit stamps bracket the call (one clock read per side,
+// shared by every sampled packet in the chunk). It recovers handler panics:
+// a panic leaves no packet of the chunk with a defined outcome, so the
+// recovery claims the whole chunk back from w.inflight (unless the scheduler
+// already detached us and charged it), charges it to fault drops and
+// recycles it, so no packet escapes the drop ledger.
+func (e *Engine) runBatch(s *stage, w *workerCtx, k int) (live int, panicked bool, pmsg string) {
 	debug := e.cfg.DebugPool
 	defer func() {
-		if r := recover(); r == nil {
+		r := recover()
+		if r == nil {
 			return
-		} else {
-			panicked = true
-			pmsg = panicString(r)
 		}
-		// Unaccounted packets: the kept-but-unpublished survivors plus the
-		// panicking packet and everything after it. A descriptor the debug
-		// check just flagged as recycled is already in the freelist — skip
-		// it rather than tripping the double-put check inside this recover.
-		free := func(p *Packet) {
-			if debug && atomic.LoadInt32(&p.poolState) != 0 {
-				return
-			}
-			e.freePacket(p)
-		}
+		live, panicked, pmsg = 0, true, panicString(r)
 		if claimed := w.inflight.Swap(0); claimed > 0 {
 			e.FaultDrops.Add(uint64(claimed))
 			s.faultDrops.Add(uint64(claimed))
 		}
-		for j := 0; j < live; j++ {
-			free(w.batch[j])
-		}
-		for j := i; j < k; j++ {
-			free(w.batch[j])
-		}
-		live, done = 0, i
-	}()
-	for ; i < k; i++ {
-		pkt := w.batch[i]
-		if debug && atomic.LoadInt32(&pkt.poolState) != 0 {
-			panic("dataplane: stage " + s.name + " processing a recycled packet (use-after-PutPacket)")
-		}
-		// Flight recorder: unsampled packets (all of them when the recorder
-		// is off) pay one predicted-not-taken branch per stamp site.
-		sp := pkt.span
-		if sp != nil {
-			sp.stampEnter(s.id, time.Now().UnixNano())
-		}
-		s.fn(pkt)
-		if sp != nil {
-			sp.stampExit(time.Now().UnixNano())
-		}
-		if pkt.Drop {
-			pkt.Drop = false
-			// Claim the single unit back; if the scheduler detached us it
-			// already charged this packet as a fault drop instead. Remote
-			// stages consume every packet this way, but their units belong
-			// to the transport ledger (RemoteDelivered/RemoteDrops), not
-			// NFDrops — the handler already charged any refusal.
-			if decInflight(&w.inflight) && w.kind == workerLocal {
-				s.nfDrops.Add(1)
-				e.NFDrops.Add(1)
-			}
-			e.freePacket(pkt)
-			continue
-		}
-		pkt.Hop++
-		w.batch[live] = pkt
-		live++
-	}
-	return live, k, false, ""
-}
-
-// runChunkBatch is runChunk's whole-batch twin for stages registered with
-// AddBatchStage: one handler call covers batch[:k], with the flight
-// recorder's enter/exit stamps bracketing the batch (one clock read per
-// side, shared by every sampled packet in it). A panic inside the batch
-// handler leaves no packet with a defined outcome, so the recovery charges
-// the entire unclaimed chunk to fault drops.
-func (e *Engine) runChunkBatch(s *stage, w *workerCtx, k int) (live, done int, panicked bool, pmsg string) {
-	debug := e.cfg.DebugPool
-	defer func() {
-		if r := recover(); r == nil {
-			return
-		} else {
-			panicked = true
-			pmsg = panicString(r)
-		}
-		free := func(p *Packet) {
+		for _, p := range w.batch[:k] {
+			// A descriptor the debug check just flagged as recycled is
+			// already in the freelist — skip it rather than tripping the
+			// double-put check inside this recover.
 			if debug && atomic.LoadInt32(&p.poolState) != 0 {
-				return
+				continue
 			}
-			e.freePacket(p)
+			e.PutPacket(p)
 		}
-		if claimed := w.inflight.Swap(0); claimed > 0 {
-			e.FaultDrops.Add(uint64(claimed))
-			s.faultDrops.Add(uint64(claimed))
-		}
-		for j := 0; j < k; j++ {
-			free(w.batch[j])
-		}
-		live, done = 0, 0
 	}()
 	batch := w.batch[:k]
 	if debug {
@@ -1341,7 +1232,7 @@ func (e *Engine) runChunkBatch(s *stage, w *workerCtx, k int) (live, done int, p
 			sp.stampEnter(s.id, now)
 		}
 	}
-	s.bfn(batch)
+	s.fn(batch)
 	now = 0
 	for _, pkt := range batch {
 		if sp := pkt.span; sp != nil {
@@ -1353,19 +1244,23 @@ func (e *Engine) runChunkBatch(s *stage, w *workerCtx, k int) (live, done int, p
 	}
 	for _, pkt := range batch {
 		if pkt.Drop {
-			pkt.Drop = false
+			// Claim the single unit back; if the scheduler detached us it
+			// already charged this packet as a fault drop instead. Remote
+			// stages consume every packet this way, but their units belong
+			// to the transport ledger (RemoteDelivered/RemoteDrops), not
+			// NFDrops — the handler already charged any refusal.
 			if decInflight(&w.inflight) && w.kind == workerLocal {
 				s.nfDrops.Add(1)
 				e.NFDrops.Add(1)
 			}
-			e.freePacket(pkt)
+			e.PutPacket(pkt)
 			continue
 		}
 		pkt.Hop++
 		w.batch[live] = pkt
 		live++
 	}
-	return live, k, false, ""
+	return live, false, ""
 }
 
 // scheduleCore grants the core's runnable stage with the smallest WFQ pass
@@ -1453,9 +1348,9 @@ func (e *Engine) grantStage(pick *stage, timer *time.Timer, core int) {
 // single-threaded mover, run only after the TX shards have exited.
 func (e *Engine) moveAll() { e.moveStages(e.stages, e.drainBuf, e.drainRC) }
 
-// moveStages drains each given stage's tx ring toward the next hop, the
-// sink or the output channel (the paper's TX-thread role), in batches: runs
-// of packets bound for the same destination ring are forwarded with one
+// moveStages drains each given stage's tx ring toward the next hop or the
+// sink (the paper's TX-thread role), in batches: runs of packets bound for
+// the same destination ring are forwarded with one
 // reservation, and all engine counters are flushed once per drained batch
 // (add-N, not N adds). Every piece of scratch state — the drain buffer, the
 // latency run-length encoder, the counter accumulators — is local to the
@@ -1471,7 +1366,7 @@ func (e *Engine) moveStages(stages []*stage, buf []*Packet, rc *recycler) int {
 	// largest avoidable cost on the serial path.
 	var now int64
 	moved := 0
-	var delivered, outDrops, ringDrops uint64
+	var delivered, ringDrops uint64
 	var latSum, latMax int64
 	// Coarse-clock latencies arrive in runs of identical values; batch them
 	// into the histogram with run-length encoding.
@@ -1507,60 +1402,32 @@ func (e *Engine) moveStages(stages []*stage, buf []*Packet, rc *recycler) int {
 				pkt := buf[i]
 				chain := e.chains[pkt.ChainID]
 				if pkt.Hop >= len(chain) {
-					// Delivery.
-					if e.tap != nil {
-						e.tap(pkt)
-					}
+					// Delivery: leave the packet in buf; the contiguous
+					// delivered run is handed over below.
 					lat := now - pkt.enqueuedNanos
 					if lat < 0 {
 						lat = 0
 					}
-					if e.sink != nil {
-						// Batch path: leave the packet in moveBuf; the
-						// contiguous delivered run is handed over below.
-						delivered++
-						latSum += lat
-						if lat > latMax {
-							latMax = lat
-						}
-						if uint64(lat) == histVal {
-							histN++
-						} else {
-							if histN > 0 && e.latHist != nil {
-								e.latHist.ObserveN(histVal, histN)
-							}
-							histVal, histN = uint64(lat), 1
-						}
-						i++
-						continue
+					delivered++
+					latSum += lat
+					if lat > latMax {
+						latMax = lat
 					}
-					select {
-					case e.out <- pkt:
-						delivered++
-						latSum += lat
-						if lat > latMax {
-							latMax = lat
+					if uint64(lat) == histVal {
+						histN++
+					} else {
+						if histN > 0 && e.latHist != nil {
+							e.latHist.ObserveN(histVal, histN)
 						}
-						if uint64(lat) == histVal {
-							histN++
-						} else {
-							if histN > 0 && e.latHist != nil {
-								e.latHist.ObserveN(histVal, histN)
-							}
-							histVal, histN = uint64(lat), 1
-						}
-					default:
-						outDrops++ // consumer not draining
-						wastedHere++
-						rc.put(pkt)
+						histVal, histN = uint64(lat), 1
 					}
 					i++
 					continue
 				}
 				// Forward: extend the run while packets share the next-hop
 				// ring, then publish the run with one reservation.
-				if e.sink != nil && i > sinkFrom {
-					e.flushSink(buf[sinkFrom:i])
+				if i > sinkFrom {
+					e.deliver(buf[sinkFrom:i], rc)
 				}
 				dstID := chain[pkt.Hop]
 				dst := e.stages[dstID]
@@ -1590,8 +1457,8 @@ func (e *Engine) moveStages(stages []*stage, buf []*Packet, rc *recycler) int {
 				i = j
 				sinkFrom = j
 			}
-			if e.sink != nil && k > sinkFrom {
-				e.flushSink(buf[sinkFrom:k])
+			if k > sinkFrom {
+				e.deliver(buf[sinkFrom:k], rc)
 			}
 		}
 		if wastedHere > 0 {
@@ -1611,9 +1478,6 @@ func (e *Engine) moveStages(stages []*stage, buf []*Packet, rc *recycler) int {
 			}
 		}
 	}
-	if outDrops > 0 {
-		e.OutputDrops.Add(outDrops)
-	}
 	if ringDrops > 0 {
 		e.RingDrops.Add(ringDrops)
 		e.MidRingDrops.Add(ringDrops)
@@ -1622,11 +1486,15 @@ func (e *Engine) moveStages(stages []*stage, buf []*Packet, rc *recycler) int {
 	return moved
 }
 
-// flushSink hands a contiguous all-delivered run of a mover's drain buffer
-// to the sink.
-func (e *Engine) flushSink(run []*Packet) {
-	if len(run) > 0 {
+// deliver hands a contiguous all-delivered run of a mover's drain buffer to
+// the sink; with no sink set the engine retires the descriptors itself.
+func (e *Engine) deliver(run []*Packet, rc *recycler) {
+	if e.sink != nil {
 		e.sink(run)
+		return
+	}
+	for _, p := range run {
+		rc.put(p)
 	}
 }
 
@@ -1674,13 +1542,6 @@ func (e *Engine) updateBackpressure() {
 				e.record(Decision{Kind: DecisionBPOff, Chain: ci,
 					Stage: e.stages[deepest].name, QueueDepth: depths[deepest],
 					HighWater: e.highWater, LowWater: e.lowWater})
-				if e.events != nil {
-					e.events.Emit(time.Since(e.startWall).Seconds(), telemetry.LevelInfo,
-						"bp_off", telemetry.F("chain", ci),
-						telemetry.F("stage", e.stages[deepest].name),
-						telemetry.F("qdepth", depths[deepest]),
-						telemetry.F("low_water", e.lowWater))
-				}
 			}
 		} else {
 			for _, sid := range chain {
@@ -1693,25 +1554,14 @@ func (e *Engine) updateBackpressure() {
 					if st.rem != nil {
 						note = st.rem.bpCause()
 					}
-					e.throttled[ci].Store(true)
-					e.ThrottleEvents.Add(1)
+					// Journal first: whoever observes the gate closed finds
+					// its cause already recorded.
 					e.record(Decision{Kind: DecisionBPOn, Chain: ci,
 						Stage: st.name, QueueDepth: depths[sid],
 						HighWater: e.highWater, LowWater: e.lowWater,
 						Note: note})
-					if e.events != nil {
-						fields := []telemetry.Field{
-							telemetry.F("chain", ci),
-							telemetry.F("stage", st.name),
-							telemetry.F("qdepth", depths[sid]),
-							telemetry.F("high_water", e.highWater),
-						}
-						if note != "" {
-							fields = append(fields, telemetry.F("cause", note))
-						}
-						e.events.Emit(time.Since(e.startWall).Seconds(),
-							telemetry.LevelInfo, "bp_on", fields...)
-					}
+					e.ThrottleEvents.Add(1)
+					e.throttled[ci].Store(true)
 					break
 				}
 			}
@@ -1788,10 +1638,6 @@ func (e *Engine) updateWeights() {
 			e.record(Decision{Kind: DecisionWeight, Chain: -1, Stage: s.name,
 				Load: loads[i], CostNanos: math.Float64frombits(s.estCost.Load()),
 				OldWeight: old, NewWeight: w})
-			if e.events != nil {
-				e.events.Emit(time.Since(e.startWall).Seconds(), telemetry.LevelDebug,
-					"weight", telemetry.F("stage", s.name), telemetry.F("weight", w))
-			}
 		}
 	}
 }
@@ -1895,8 +1741,6 @@ func (e *Engine) RegisterMetrics(reg *telemetry.Registry) {
 		"Packets dropped at full stage receive rings (entry or mid-chain).", e.RingDrops.Load)
 	reg.CounterFunc("dataplane_mid_ring_drops_total",
 		"Accepted packets dropped at full mid-chain receive rings (subset of ring drops).", e.MidRingDrops.Load)
-	reg.CounterFunc("dataplane_output_drops_total",
-		"Delivered packets dropped because the output channel was full.", e.OutputDrops.Load)
 	reg.CounterFunc("dataplane_throttle_events_total",
 		"Chain-throttle activations.", e.ThrottleEvents.Load)
 	reg.CounterFunc("dataplane_fault_entry_drops_total",
@@ -1960,14 +1804,4 @@ func (e *Engine) SetEventLog(l *telemetry.EventLog) {
 		panic("dataplane: SetEventLog after Run")
 	}
 	e.events = l
-}
-
-// Tap registers a callback invoked (on a mover goroutine; concurrently
-// from several when Config.Movers > 1) for every delivered packet, e.g.
-// to mirror frames into a pcap capture. Must be set before Run.
-func (e *Engine) Tap(fn func(*Packet)) {
-	if e.running.Load() {
-		panic("dataplane: Tap after Run")
-	}
-	e.tap = fn
 }

@@ -2,7 +2,9 @@ package dataplane
 
 import (
 	"context"
+	"encoding/binary"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,49 +17,56 @@ func spin(d time.Duration) {
 	}
 }
 
-func drain(e *Engine, stop <-chan struct{}) *uint64 {
-	var n uint64
-	go func() {
-		for {
-			select {
-			case <-e.Output():
-				n++
-			case <-stop:
-				return
-			}
-		}
-	}()
-	return &n
+// setSeq and seqOf carry a test sequence number in the packet's frame (the
+// engine needs Config.FrameSize >= 8 for it to ride the arena).
+func setSeq(p *Packet, seq int) {
+	p.Frame = binary.LittleEndian.AppendUint64(p.Frame[:0], uint64(seq))
 }
 
+func seqOf(p *Packet) int { return int(binary.LittleEndian.Uint64(p.Frame)) }
+
 func TestPipelineDeliversAll(t *testing.T) {
-	e := New(Config{RingSize: 256, WeightPeriod: 0})
-	a := e.AddStage("a", 1024, func(p *Packet) { p.Userdata = p.Userdata.(int) + 1 })
-	b := e.AddStage("b", 1024, func(p *Packet) { p.Userdata = p.Userdata.(int) * 2 })
+	e := New(Config{RingSize: 256, WeightPeriod: 0, FrameSize: 8})
+	a := e.AddStage("a", 1024, func(p *Packet) { setSeq(p, seqOf(p)+1) })
+	b := e.AddStage("b", 1024, func(p *Packet) { setSeq(p, seqOf(p)*2) })
 	ch, err := e.AddChain(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.MapFlow(7, ch)
+
+	const total = 1000
+	results := make(map[int]bool)
+	var got atomic.Int64
+	done := make(chan struct{})
+	e.SetSink(func(ps []*Packet) {
+		for _, p := range ps {
+			results[seqOf(p)] = true
+		}
+		e.PutPacketBatch(ps)
+		if got.Add(int64(len(ps))) == total {
+			close(done)
+		}
+	})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go e.Run(ctx)
 
-	const total = 1000
-	results := make(map[int]bool)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < total; i++ {
-			p := <-e.Output()
-			results[p.Userdata.(int)] = true
-		}
-	}()
+	// Closed loop: the in-flight window stays below b's ring, so nothing can
+	// drop mid-chain and every sequence number is delivered.
 	sent := 0
 	for sent < total {
-		if e.Inject(&Packet{FlowID: 7, Size: 64, Userdata: sent}) {
+		if sent-int(got.Load()) >= 128 {
+			runtime.Gosched()
+			continue
+		}
+		p := e.GetPacket()
+		p.FlowID, p.Size = 7, 64
+		setSeq(p, sent)
+		if e.Inject(p) {
 			sent++
 		} else {
+			e.PutPacket(p)
 			runtime.Gosched()
 		}
 	}
@@ -116,11 +125,8 @@ func TestWeightedSharesSkewThroughput(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	go e.Run(ctx)
-	stop := make(chan struct{})
-	drain(e, stop)
 	time.Sleep(40 * time.Millisecond)
 	cancel()
-	close(stop)
 	st := e.Stats()
 	if st[0].Processed >= 2900 || st[1].Processed >= 2900 {
 		t.Skipf("queues drained during window (a=%d b=%d); host too fast for sizing assumptions",
@@ -152,15 +158,12 @@ func TestAutoWeightsEqualizeUnequalCosts(t *testing.T) {
 	e.MapFlow(1, cb)
 	ctx, cancel := context.WithCancel(context.Background())
 	go e.Run(ctx)
-	stop := make(chan struct{})
-	drain(e, stop)
 	deadline := time.Now().Add(time.Second)
 	for time.Now().Before(deadline) {
 		e.Inject(&Packet{FlowID: 0})
 		e.Inject(&Packet{FlowID: 1})
 	}
 	cancel()
-	close(stop)
 	st := e.Stats()
 	if st[1].EstCost <= st[0].EstCost {
 		// Wall-clock measurement was inverted by host scheduling noise;
@@ -198,9 +201,6 @@ func TestBackpressureShedsAtEntry(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go e.Run(ctx)
-	stop := make(chan struct{})
-	defer close(stop)
-	drain(e, stop)
 	deadline := time.Now().Add(400 * time.Millisecond)
 	for time.Now().Before(deadline) {
 		if !e.Inject(&Packet{FlowID: 0}) {
@@ -237,9 +237,6 @@ func TestThrottleClears(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go e.Run(ctx)
-	stop := make(chan struct{})
-	defer close(stop)
-	drain(e, stop)
 	// Flood: on a single CPU the engine may set AND clear the throttle
 	// within one of its own timeslices, so assert on the event counter
 	// rather than polling the instantaneous state.
@@ -262,19 +259,17 @@ func TestThrottleClears(t *testing.T) {
 
 // TestInjectAccountingReconciles audits drop accounting across every path a
 // packet can take: shed at entry (throttle), dropped at the entry ring
-// (Inject), dropped mid-chain (mover), dropped at the full output channel,
-// or delivered. For a single chain a→b the counters must reconcile exactly
-// once the pipeline quiesces:
+// (Inject), dropped mid-chain (mover), or delivered. For a single chain a→b
+// the counters must reconcile exactly once the pipeline quiesces:
 //
 //	attempts           == arrivals(a)
 //	rejected           == EntryDrops + drops(a)
-//	accepted           == Injected == Delivered + OutputDrops + drops(b)
+//	accepted           == Injected == Delivered + drops(b)
 //	processed(a)       == arrivals(b) == processed(b) + drops(b)
-//	processed(b)       == Delivered + OutputDrops
-//	wasted(a)          == drops(b),  wasted(b) == OutputDrops
+//	processed(b)       == Delivered
+//	wasted(a)          == drops(b),  wasted(b) == 0
 func TestInjectAccountingReconciles(t *testing.T) {
-	// Tiny rings and a slow second stage force every drop path; the
-	// consumer drains with pauses so the output channel also overflows.
+	// Tiny rings and a slow second stage force every drop path.
 	e := New(Config{RingSize: 32, BatchSize: 8, WeightPeriod: 0})
 	a := e.AddStage("a", 1024, func(p *Packet) {})
 	bID := e.AddStage("b", 1024, func(p *Packet) { spin(2 * time.Microsecond) })
@@ -283,25 +278,10 @@ func TestInjectAccountingReconciles(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.MapFlow(0, ch)
+	e.SetSink(e.PutPacketBatch)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go e.Run(ctx)
-
-	stop := make(chan struct{})
-	go func() {
-		for {
-			select {
-			case p := <-e.Output():
-				e.PutPacket(p)
-			case <-stop:
-				return
-			}
-			if e.Delivered.Load()%64 == 0 {
-				time.Sleep(200 * time.Microsecond) // let the channel back up
-			}
-		}
-	}()
-	defer close(stop)
 
 	var attempts, rejected uint64
 	deadline := time.Now().Add(500 * time.Millisecond)
@@ -328,7 +308,7 @@ func TestInjectAccountingReconciles(t *testing.T) {
 	}
 	deadline = time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if e.Injected.Load() == e.Delivered.Load()+e.OutputDrops.Load()+stats("b").QueueDrops {
+		if e.Injected.Load() == e.Delivered.Load()+stats("b").QueueDrops {
 			break
 		}
 		time.Sleep(time.Millisecond)
@@ -352,22 +332,21 @@ func TestInjectAccountingReconciles(t *testing.T) {
 		t.Errorf("arrivals(b) = %d, want processed(b)+drops(b) = %d",
 			sb.Arrivals, sb.Processed+sb.QueueDrops)
 	}
-	if sb.Processed != e.Delivered.Load()+e.OutputDrops.Load() {
-		t.Errorf("processed(b) = %d, want delivered+outputDrops = %d",
-			sb.Processed, e.Delivered.Load()+e.OutputDrops.Load())
+	if sb.Processed != e.Delivered.Load() {
+		t.Errorf("processed(b) = %d, want delivered = %d", sb.Processed, e.Delivered.Load())
 	}
-	if got := e.Delivered.Load() + e.OutputDrops.Load() + sb.QueueDrops; got != accepted {
-		t.Errorf("delivered+outputDrops+drops(b) = %d, want accepted = %d", got, accepted)
+	if got := e.Delivered.Load() + sb.QueueDrops; got != accepted {
+		t.Errorf("delivered+drops(b) = %d, want accepted = %d", got, accepted)
 	}
 	if sa.Wasted != sb.QueueDrops {
 		t.Errorf("wasted(a) = %d, want drops(b) = %d", sa.Wasted, sb.QueueDrops)
 	}
-	if sb.Wasted != e.OutputDrops.Load() {
-		t.Errorf("wasted(b) = %d, want OutputDrops = %d", sb.Wasted, e.OutputDrops.Load())
+	if sb.Wasted != 0 {
+		t.Errorf("wasted(b) = %d, want 0: nothing dies downstream of the last stage", sb.Wasted)
 	}
 	// The interesting paths actually fired; otherwise this test proves
 	// nothing. Entry drops need sustained pressure, which a 1-CPU host may
-	// not generate, so only ring/output drops are mandatory.
+	// not generate.
 	if sb.QueueDrops == 0 {
 		t.Log("note: no mid-chain drops occurred this run")
 	}
@@ -437,24 +416,20 @@ func TestMultiCoreChainsProgress(t *testing.T) {
 	b := e.AddStageOn("b", 1024, 1, func(p *Packet) {})
 	ch, _ := e.AddChain(a, b)
 	e.MapFlow(0, ch)
+	var got atomic.Int64
+	recv := make(chan struct{})
+	var once sync.Once
+	e.SetSink(func(ps []*Packet) {
+		if got.Add(int64(len(ps))) >= 500 {
+			once.Do(func() { close(recv) })
+		}
+	})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan struct{})
 	go func() { e.Run(ctx); close(done) }()
-	var got atomic.Int64
-	recv := make(chan struct{})
-	go func() {
-		for range e.Output() {
-			if got.Add(1) == 500 {
-				close(recv)
-				return
-			}
-		}
-	}()
-	// Closed loop: cap in-flight packets well below the output channel's
-	// RingSize capacity, because delivery is a non-blocking send — a burst
-	// while this consumer goroutine is descheduled would overflow the
-	// channel and count OutputDrops instead of deliveries.
+	// Closed loop: cap in-flight packets well below the mid-chain ring's
+	// capacity so a burst can't overflow it and drop instead of delivering.
 	sent := 0
 	for sent < 500 {
 		if sent-int(got.Load()) >= 128 {
@@ -495,17 +470,17 @@ func TestLatencyStats(t *testing.T) {
 	a := e.AddStage("a", 1024, func(p *Packet) { spin(100 * time.Microsecond) })
 	ch, _ := e.AddChain(a)
 	e.MapFlow(0, ch)
+	got := make(chan struct{})
+	seen := 0
+	e.SetSink(func(ps []*Packet) {
+		if seen += len(ps); seen == 20 {
+			close(got)
+		}
+	})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan struct{})
 	go func() { e.Run(ctx); close(done) }()
-	got := make(chan struct{})
-	go func() {
-		for i := 0; i < 20; i++ {
-			<-e.Output()
-		}
-		close(got)
-	}()
 	for i := 0; i < 20; {
 		if e.Inject(&Packet{FlowID: 0}) {
 			i++
@@ -529,28 +504,37 @@ func TestLatencyStats(t *testing.T) {
 	<-done
 }
 
-func TestTapSeesDeliveredPackets(t *testing.T) {
-	e := New(Config{RingSize: 64, WeightPeriod: 0})
+// TestSinkCapturesDeliveredFrames is the capture use case (see
+// examples/capture_pipeline): the sink copies every delivered frame before
+// recycling the descriptors, and sees each one exactly once, in order.
+func TestSinkCapturesDeliveredFrames(t *testing.T) {
+	e := New(Config{RingSize: 64, WeightPeriod: 0, FrameSize: 8})
 	a := e.AddStage("a", 1024, func(*Packet) {})
 	ch, _ := e.AddChain(a)
 	e.MapFlow(0, ch)
-	var tapped int
-	e.Tap(func(*Packet) { tapped++ })
+	const total = 30
+	var captured [][]byte
+	seen := make(chan struct{})
+	e.SetSink(func(ps []*Packet) {
+		for _, p := range ps {
+			captured = append(captured, append([]byte(nil), p.Frame...))
+		}
+		e.PutPacketBatch(ps)
+		if len(captured) == total {
+			close(seen)
+		}
+	})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan struct{})
 	go func() { e.Run(ctx); close(done) }()
-	seen := make(chan struct{})
-	go func() {
-		for i := 0; i < 30; i++ {
-			<-e.Output()
-		}
-		close(seen)
-	}()
-	for i := 0; i < 30; {
-		if e.Inject(&Packet{FlowID: 0}) {
+	for i := 0; i < total; {
+		p := e.GetPacket()
+		setSeq(p, i)
+		if e.Inject(p) {
 			i++
 		} else {
+			e.PutPacket(p)
 			runtime.Gosched()
 		}
 	}
@@ -559,22 +543,24 @@ func TestTapSeesDeliveredPackets(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("timeout")
 	}
-	if tapped < 30 {
-		t.Fatalf("tap saw %d packets, want >=30", tapped)
-	}
 	cancel()
 	<-done
+	for i, fr := range captured {
+		if got := int(binary.LittleEndian.Uint64(fr)); got != i {
+			t.Fatalf("captured frame %d carries seq %d", i, got)
+		}
+	}
 }
 
-func TestTapAfterRunPanics(t *testing.T) {
+func TestSetSinkAfterRunPanics(t *testing.T) {
 	e := New(Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	e.Run(ctx)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Tap after Run did not panic")
+			t.Fatal("SetSink after Run did not panic")
 		}
 	}()
-	e.Tap(func(*Packet) {})
+	e.SetSink(func([]*Packet) {})
 }

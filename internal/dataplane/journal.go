@@ -21,6 +21,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"nfvnice/internal/telemetry"
 )
 
 // DecisionKind classifies a journal record.
@@ -205,11 +207,54 @@ func (j *DecisionJournal) Filter(n int, keep func(Decision) bool) []Decision {
 	return out
 }
 
-// record appends to the engine's journal, if one is enabled. Callers are
-// all transition-rate (not packet-rate) paths.
+// record appends to the engine's journal, if one is enabled, and derives the
+// decision's event-log line from the same record, so the two views of the
+// control plane cannot disagree. Callers are all transition-rate (not
+// packet-rate) paths.
 func (e *Engine) record(d Decision) {
 	if e.journal != nil {
 		e.journal.Append(d)
+	}
+	if e.events == nil {
+		return
+	}
+	switch d.Kind {
+	case DecisionBPOn:
+		fields := []telemetry.Field{
+			telemetry.F("chain", d.Chain), telemetry.F("stage", d.Stage),
+			telemetry.F("qdepth", d.QueueDepth), telemetry.F("high_water", d.HighWater),
+		}
+		if d.Note != "" {
+			fields = append(fields, telemetry.F("cause", d.Note))
+		}
+		e.emit(telemetry.LevelInfo, "bp_on", fields...)
+	case DecisionBPOff:
+		e.emit(telemetry.LevelInfo, "bp_off",
+			telemetry.F("chain", d.Chain), telemetry.F("stage", d.Stage),
+			telemetry.F("qdepth", d.QueueDepth), telemetry.F("low_water", d.LowWater))
+	case DecisionWeight:
+		e.emit(telemetry.LevelDebug, "weight",
+			telemetry.F("stage", d.Stage), telemetry.F("weight", d.NewWeight))
+	case DecisionHealth:
+		e.emit(telemetry.LevelInfo, "stage_health",
+			telemetry.F("stage", d.Stage), telemetry.F("state", d.To))
+	case DecisionCircuitOpen:
+		e.emit(telemetry.LevelWarn, "stage_circuit_open",
+			telemetry.F("stage", d.Stage), telemetry.F("failures", d.Failures))
+	case DecisionChainDown:
+		e.emit(telemetry.LevelInfo, "chain_failclosed",
+			telemetry.F("chain", d.Chain), telemetry.F("state", "down"))
+	case DecisionChainUp:
+		e.emit(telemetry.LevelInfo, "chain_failclosed",
+			telemetry.F("chain", d.Chain), telemetry.F("state", "up"))
+	case DecisionRemoteReconnect:
+		e.emit(telemetry.LevelInfo, "remote_reconnect",
+			telemetry.F("stage", d.Stage), telemetry.F("peer", d.Peer),
+			telemetry.F("attempts", d.Failures))
+	case DecisionRemoteCircuitOpen:
+		e.emit(telemetry.LevelWarn, "remote_circuit_open",
+			telemetry.F("stage", d.Stage), telemetry.F("peer", d.Peer),
+			telemetry.F("failures", d.Failures))
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 func laneDrops(e *Engine) uint64 {
 	return e.EntryDrops.Load() + e.FaultEntryDrops.Load() + e.RingDrops.Load() +
 		e.LateDrops.Load() + e.NFDrops.Load() + e.FaultDrops.Load() +
-		e.ShutdownDrops.Load() + e.OutputDrops.Load()
+		e.ShutdownDrops.Load()
 }
 
 // TestLaneDeliversInOrder is the basic lane path: one registered producer,
@@ -25,7 +25,7 @@ func laneDrops(e *Engine) uint64 {
 // injected sequence (drain-time shedding may thin it under load, so
 // conservation — not losslessness — is the delivery-count check).
 func TestLaneDeliversInOrder(t *testing.T) {
-	e := New(Config{RingSize: 256, WeightPeriod: 0, DrainTimeout: 2 * time.Second})
+	e := New(Config{RingSize: 256, WeightPeriod: 0, DrainTimeout: 2 * time.Second, FrameSize: 8})
 	a := e.AddStage("a", 1024, func(p *Packet) {})
 	ch, _ := e.AddChain(a)
 	e.MapFlow(1, ch)
@@ -35,10 +35,10 @@ func TestLaneDeliversInOrder(t *testing.T) {
 	var delivered atomic.Uint64
 	e.SetSink(func(ps []*Packet) {
 		for _, p := range ps {
-			if p.Userdata.(int) <= lastSeq {
+			if seqOf(p) <= lastSeq {
 				reorders++
 			}
-			lastSeq = p.Userdata.(int)
+			lastSeq = seqOf(p)
 		}
 		delivered.Add(uint64(len(ps)))
 		e.PutPacketBatch(ps)
@@ -52,7 +52,7 @@ func TestLaneDeliversInOrder(t *testing.T) {
 	for sent < total {
 		p := e.GetPacket()
 		p.FlowID = 1
-		p.Userdata = sent
+		setSeq(p, sent)
 		if h.Inject(p) {
 			sent++
 		} else {
@@ -83,7 +83,7 @@ func TestLaneDeliversInOrder(t *testing.T) {
 // count changes under traffic — and checks every flow's delivery sequence
 // is strictly FIFO.
 func TestLanePerProducerFIFO(t *testing.T) {
-	e := New(Config{RingSize: 512, Movers: 3, WeightPeriod: 0})
+	e := New(Config{RingSize: 512, Movers: 3, WeightPeriod: 0, FrameSize: 8})
 	a := e.AddStage("a", 1024, func(p *Packet) {})
 	b := e.AddStage("b", 1024, func(p *Packet) {})
 	ch, _ := e.AddChain(a, b)
@@ -104,7 +104,7 @@ func TestLanePerProducerFIFO(t *testing.T) {
 	e.SetSink(func(ps []*Packet) {
 		mu.Lock()
 		for _, p := range ps {
-			seq := p.Userdata.(int)
+			seq := seqOf(p)
 			if seq <= lastSeq[p.FlowID] {
 				violations.Add(1)
 			}
@@ -136,7 +136,7 @@ func TestLanePerProducerFIFO(t *testing.T) {
 			for sent < perProducer {
 				p := cache.Get()
 				p.FlowID = f
-				p.Userdata = sent
+				setSeq(p, sent)
 				if h.Inject(p) {
 					sent++
 				} else {
@@ -207,7 +207,6 @@ func TestLaneConservationChurn(t *testing.T) {
 				for i := 0; i < burst && sent < perProducer; {
 					p := e.GetPacket()
 					p.FlowID = f
-					p.Userdata = nil
 					if h.Inject(p) {
 						accepted.Add(1)
 						sent++
@@ -239,7 +238,7 @@ func TestLaneConservationChurn(t *testing.T) {
 			accepted.Load(), inj, entry, fentry, ringDrops, late, got)
 	}
 	outcome := delivered.Load() + e.NFDrops.Load() + e.FaultDrops.Load() +
-		e.ShutdownDrops.Load() + e.OutputDrops.Load()
+		e.ShutdownDrops.Load()
 	if inj != outcome {
 		t.Fatalf("engine invariant broken: injected=%d outcomes=%d", inj, outcome)
 	}

@@ -166,7 +166,7 @@ func (e *Engine) lateSweepLane(ln *injectLane) {
 		if !ok {
 			break
 		}
-		e.freePacket(p)
+		e.PutPacket(p)
 		n++
 	}
 	if n > 0 {
@@ -267,7 +267,7 @@ func (e *Engine) sweepLanes() {
 			if !ok {
 				break
 			}
-			e.freePacket(p)
+			e.PutPacket(p)
 			n++
 		}
 	}

@@ -6,8 +6,8 @@ package dataplane
 // directly. See the reconciliation comment on Engine: at quiescence — and,
 // with the shutdown drain, after Run returns —
 //
-//	Injected == Delivered + MidRingDrops + OutputDrops + NFDrops
-//	          + FaultDrops + ShutdownDrops + RemoteDelivered + RemoteDrops
+//	Injected == Delivered + MidRingDrops + NFDrops + FaultDrops
+//	          + ShutdownDrops + RemoteDelivered + RemoteDrops
 //
 // The pre-acceptance classes (EntryDrops, FaultEntryDrops, LateDrops, and the
 // entry-ring portion of RingDrops) are reported for completeness but are not
@@ -16,7 +16,6 @@ type Ledger struct {
 	Injected        uint64 `json:"injected"`
 	Delivered       uint64 `json:"delivered"`
 	MidRingDrops    uint64 `json:"mid_ring_drops"`
-	OutputDrops     uint64 `json:"output_drops"`
 	NFDrops         uint64 `json:"nf_drops"`
 	FaultDrops      uint64 `json:"fault_drops"`
 	ShutdownDrops   uint64 `json:"shutdown_drops"`
@@ -39,7 +38,6 @@ func (e *Engine) LedgerSnapshot() Ledger {
 		Injected:        e.Injected.Load(),
 		Delivered:       e.Delivered.Load(),
 		MidRingDrops:    e.MidRingDrops.Load(),
-		OutputDrops:     e.OutputDrops.Load(),
 		NFDrops:         e.NFDrops.Load(),
 		FaultDrops:      e.FaultDrops.Load(),
 		ShutdownDrops:   e.ShutdownDrops.Load(),
@@ -55,8 +53,8 @@ func (e *Engine) LedgerSnapshot() Ledger {
 
 // Accounted sums the post-acceptance outcome classes.
 func (l Ledger) Accounted() uint64 {
-	return l.Delivered + l.MidRingDrops + l.OutputDrops + l.NFDrops +
-		l.FaultDrops + l.ShutdownDrops + l.RemoteDelivered + l.RemoteDrops
+	return l.Delivered + l.MidRingDrops + l.NFDrops + l.FaultDrops +
+		l.ShutdownDrops + l.RemoteDelivered + l.RemoteDrops
 }
 
 // Residual is Injected minus Accounted: zero at quiescence, positive while

@@ -46,8 +46,7 @@ const (
 )
 
 // mover is one TX shard: a goroutine draining its partition of stage tx
-// rings (and its bound inject lanes) toward next hops, the sink, or the
-// output channel.
+// rings (and its bound inject lanes) toward next hops or the sink.
 type mover struct {
 	id     int
 	stages []*stage  // static partition, fixed before Run spawns workers

@@ -114,13 +114,10 @@ func TestMoverParksWhenIdle(t *testing.T) {
 // under -race in CI (the chaos job) to certify the sharded counters.
 func TestConservationMovers(t *testing.T) {
 	e := New(Config{RingSize: 64, BatchSize: 16, WeightPeriod: 0, Movers: 2,
-		DrainTimeout: 2 * time.Second})
+		DrainTimeout: 2 * time.Second, FrameSize: 8})
 	entry := e.AddStage("entry", 1024, func(*Packet) {})
 	mid := e.AddStage("mid", 1024, func(p *Packet) {
-		if p.Userdata == nil {
-			return
-		}
-		if p.Userdata.(int)%97 == 0 {
+		if seqOf(p)%97 == 0 {
 			p.Drop = true // exercise the NF-drop class under sharding
 		}
 	})
@@ -150,7 +147,7 @@ func TestConservationMovers(t *testing.T) {
 			for time.Now().Before(deadline) {
 				p := e.GetPacket()
 				p.FlowID = 0
-				p.Userdata = seq
+				setSeq(p, seq)
 				seq++
 				if !e.Inject(p) {
 					e.PutPacket(p)
@@ -175,7 +172,7 @@ func TestConservationMovers(t *testing.T) {
 		}
 	}
 	injected := e.Injected.Load()
-	accounted := e.Delivered.Load() + e.OutputDrops.Load() + midDrops +
+	accounted := e.Delivered.Load() + midDrops +
 		e.NFDrops.Load() + e.FaultDrops.Load() + e.ShutdownDrops.Load()
 	if injected == 0 {
 		t.Fatal("nothing injected")
@@ -185,9 +182,9 @@ func TestConservationMovers(t *testing.T) {
 	}
 	if injected != accounted {
 		t.Fatalf("conservation violated with Movers=2: injected=%d accounted=%d "+
-			"(delivered=%d mid=%d nf=%d fault=%d shutdown=%d out=%d)",
+			"(delivered=%d mid=%d nf=%d fault=%d shutdown=%d)",
 			injected, accounted, e.Delivered.Load(), midDrops, e.NFDrops.Load(),
-			e.FaultDrops.Load(), e.ShutdownDrops.Load(), e.OutputDrops.Load())
+			e.FaultDrops.Load(), e.ShutdownDrops.Load())
 	}
 	// The sharded path actually ran: both movers swept and moved packets.
 	ms := e.MoverStats()

@@ -19,7 +19,7 @@ func testPerFlowFIFO(t *testing.T, movers int) {
 		flows = 4
 		total = 20000
 	)
-	e := New(Config{RingSize: 1024, BatchSize: 32, WeightPeriod: 0, Movers: movers})
+	e := New(Config{RingSize: 1024, BatchSize: 32, WeightPeriod: 0, Movers: movers, FrameSize: 8})
 	a := e.AddStage("a", 1024, func(p *Packet) {})
 	b := e.AddStage("b", 1024, func(p *Packet) {})
 	c := e.AddStage("c", 1024, func(p *Packet) {})
@@ -46,7 +46,7 @@ func testPerFlowFIFO(t *testing.T, movers int) {
 	e.SetSink(func(ps []*Packet) {
 		mu.Lock()
 		for _, p := range ps {
-			seq := p.Userdata.(int)
+			seq := seqOf(p)
 			if seq <= lastSeq[p.FlowID] && violated == "" {
 				violated = "flow " + string(rune('0'+p.FlowID)) +
 					": delivered out of order"
@@ -88,7 +88,7 @@ func testPerFlowFIFO(t *testing.T, movers int) {
 			}
 			p := e.GetPacket()
 			p.FlowID = f
-			p.Userdata = seq
+			setSeq(p, seq)
 			for !e.Inject(p) {
 				runtime.Gosched()
 			}

@@ -12,16 +12,16 @@ package dataplane
 //     caller owns it until Inject returns true or InjectBatch consumes it.
 //   - A packet rejected by Inject (false) is still the caller's: retry it or
 //     PutPacket it. InjectBatch instead consumes every packet, recycling the
-//     rejected ones itself (unless Config.NoRecycle).
-//   - Packets the engine drops in flight (full rings, full output) are
-//     recycled automatically unless Config.NoRecycle.
-//   - A delivered packet (Output channel or Sink) is owned by the consumer;
-//     returning it with PutPacket closes the zero-allocation loop. Skipping
-//     that is safe — the freelist just refills from the heap.
+//     rejected ones itself.
+//   - Packets the engine drops in flight (shed batches, full rings, handler
+//     discards) are recycled automatically.
+//   - A delivered packet is owned by the Sink; returning it with PutPacket
+//     closes the zero-allocation loop. Skipping that is safe — the freelist
+//     just refills from the heap. With no Sink the engine recycles it.
 //
-// Because recycled packets are reused immediately, callers that stash
-// *Packet pointers (or pointers reachable from Userdata) past these
-// ownership boundaries must set Config.NoRecycle and skip PutPacket.
+// Recycled packets are reused immediately, so nothing may hold a *Packet (or
+// a slice of its Frame) past these ownership boundaries: copy what must
+// outlive them.
 //
 // Config.DebugPool arms ownership tracking for debugging violations of this
 // contract: every recycle path flips the descriptor's poolState live→pooled
@@ -47,15 +47,22 @@ func debugPut(p *Packet) {
 	}
 }
 
-// resetFrame restores Frame to the descriptor's empty arena slot (a length
-// reset only — the bytes stay put). Called on every recycle path so frame
-// ownership follows the descriptor through the freelist.
-func (p *Packet) resetFrame() {
-	if p.frame0 != nil {
-		p.Frame = p.frame0[:0]
-	} else {
-		p.Frame = nil
+// retire readies a descriptor for the freelist; every recycle path goes
+// through it. A span still attached (a shed or rejected packet; delivered
+// ones had theirs completed by the mover) aborts, DebugPool checks
+// ownership, and the per-trip state clears: Frame returns to the
+// descriptor's empty arena slot (nil without an arena) — a length reset
+// only, the bytes stay put — so frame ownership follows the descriptor.
+func (e *Engine) retire(p *Packet) {
+	if p.span != nil {
+		e.abortSpan(p)
 	}
+	if e.cfg.DebugPool {
+		debugPut(p)
+	}
+	p.Hop = 0
+	p.Drop = false
+	p.Frame = p.frame0[:0]
 }
 
 // newPacket is the heap fallback when the freelist runs dry: with a frame
@@ -83,42 +90,22 @@ func (e *Engine) GetPacket() *Packet {
 	return e.newPacket()
 }
 
-// PutPacket recycles a descriptor the caller owns. The packet's Userdata is
-// cleared (so the freelist never pins user objects); if the freelist is full
-// the packet is left to the garbage collector. Safe from any goroutine.
+// PutPacket recycles a descriptor the caller owns; the engine uses it too
+// for packets it drops in flight. If the freelist is full the packet is left
+// to the garbage collector. Safe from any goroutine.
 func (e *Engine) PutPacket(p *Packet) {
-	if p.span != nil {
-		// A rejected-Inject packet surrendered with its span still attached
-		// (delivered packets had theirs completed by the mover).
-		e.abortSpan(p)
-	}
-	if e.cfg.DebugPool {
-		debugPut(p)
-	}
-	p.Userdata = nil
-	p.Hop = 0
-	p.Drop = false
-	p.resetFrame()
+	e.retire(p)
 	e.free.Enqueue(p)
 }
 
 // PutPacketBatch recycles a slice of descriptors the caller owns with one
 // freelist reservation for the whole batch — the delivery-side mirror of
-// InjectBatch, for sinks and output consumers that retire packets in
-// bursts. Descriptors that do not fit the freelist are left to the garbage
-// collector. Safe from any goroutine; the slice itself is not retained.
+// InjectBatch, for sinks that retire packets in bursts. Descriptors that do
+// not fit the freelist are left to the garbage collector. Safe from any
+// goroutine; the slice itself is not retained.
 func (e *Engine) PutPacketBatch(ps []*Packet) {
 	for _, p := range ps {
-		if p.span != nil {
-			e.abortSpan(p)
-		}
-		if e.cfg.DebugPool {
-			debugPut(p)
-		}
-		p.Userdata = nil
-		p.Hop = 0
-		p.Drop = false
-		p.resetFrame()
+		e.retire(p)
 	}
 	// Surplus beyond the freelist capacity is GC'd with the caller's refs.
 	e.free.EnqueueBatch(ps)
@@ -145,22 +132,9 @@ func (e *Engine) newRecycler(size int) *recycler {
 	return &recycler{e: e, buf: make([]*Packet, size)}
 }
 
-// put readies a dropped packet for reuse and buffers it for the next flush,
-// honouring the NoRecycle opt-out (spans still abort so slabs recycle).
+// put readies a dropped packet for reuse and buffers it for the next flush.
 func (r *recycler) put(p *Packet) {
-	if p.span != nil {
-		r.e.abortSpan(p)
-	}
-	if r.e.cfg.NoRecycle {
-		return
-	}
-	if r.e.cfg.DebugPool {
-		debugPut(p)
-	}
-	p.Userdata = nil
-	p.Hop = 0
-	p.Drop = false
-	p.resetFrame()
+	r.e.retire(p)
 	if r.n == len(r.buf) {
 		r.flush()
 	}
@@ -179,27 +153,6 @@ func (r *recycler) flush() {
 		r.buf[i] = nil
 	}
 	r.n = 0
-}
-
-// freePacket is the engine-internal recycle for packets dropped in flight,
-// honouring the NoRecycle opt-out.
-func (e *Engine) freePacket(p *Packet) {
-	if p.span != nil {
-		// Dropped in flight: the span aborts (and its slab recycles) even
-		// when NoRecycle leaves the descriptor itself to the caller.
-		e.abortSpan(p)
-	}
-	if e.cfg.NoRecycle {
-		return
-	}
-	if e.cfg.DebugPool {
-		debugPut(p)
-	}
-	p.Userdata = nil
-	p.Hop = 0
-	p.Drop = false
-	p.resetFrame()
-	e.free.Enqueue(p)
 }
 
 // PacketCache is a per-goroutine freelist cache: Get and Put work on a local
@@ -242,16 +195,7 @@ func (c *PacketCache) Get() *Packet {
 // Put recycles a descriptor, spilling half the cache to the shared freelist
 // when the local slab is full.
 func (c *PacketCache) Put(p *Packet) {
-	if p.span != nil {
-		c.e.abortSpan(p)
-	}
-	if c.e.cfg.DebugPool {
-		debugPut(p)
-	}
-	p.Userdata = nil
-	p.Hop = 0
-	p.Drop = false
-	p.resetFrame()
+	c.e.retire(p)
 	if len(c.buf) == cap(c.buf) {
 		half := cap(c.buf) / 2
 		c.e.free.EnqueueBatch(c.buf[half:])

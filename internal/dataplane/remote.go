@@ -37,7 +37,7 @@ package dataplane
 // or RemoteDrops (link died with it queued or in flight, the circuit opened,
 // or the engine shut down first). The reconciliation invariant becomes
 //
-//	Injected == Delivered + RingDrops + OutputDrops + NFDrops + FaultDrops
+//	Injected == Delivered + MidRingDrops + NFDrops + FaultDrops
 //	          + ShutdownDrops + RemoteDelivered + RemoteDrops
 //
 // exact at quiescence — and, because the peer dedups retransmitted frames by
@@ -204,7 +204,7 @@ func (e *Engine) AddRemoteStageOn(name string, weight int64, core int, rcfg Remo
 	if e.running.Load() {
 		panic("dataplane: AddRemoteStage after Run")
 	}
-	id := e.AddStageOn(name, weight, core, nil)
+	id := e.AddBatchStageOn(name, weight, core, nil)
 	s := e.stages[id]
 	batch := e.cfg.BatchSize
 	if batch == 0 {
@@ -221,18 +221,23 @@ func (e *Engine) AddRemoteStageOn(name string, weight int64, core int, rcfg Remo
 		panic("dataplane: " + err.Error())
 	}
 	l.client = client
-	s.fn = func(p *Packet) {
-		// Copy the descriptor's wire-visible fields into the frame and
-		// consume it: from here the transport ledger owns the packet. The
+	// wire is the uplink's scratch: stage handlers are grant-serialized, so
+	// one slice per stage is enough.
+	wire := make([]remote.Pkt, 0, batch)
+	s.fn = func(ps []*Packet) {
+		// Copy the descriptors' wire-visible fields into the frame and
+		// consume them: from here the transport ledger owns the packets. The
 		// scheduler only grants while Space() covers a full batch, so a
 		// refusal is a race with the link dying mid-grant — charged straight
 		// to RemoteDrops.
-		var one [1]remote.Pkt
-		one[0] = remote.Pkt{Flow: int64(p.FlowID), Size: int32(p.Size)}
-		if client.Offer(one[:]) == 0 {
-			e.RemoteDrops.Add(1)
+		wire = wire[:0]
+		for _, p := range ps {
+			wire = append(wire, remote.Pkt{Flow: int64(p.FlowID), Size: int32(p.Size)})
+			p.Drop = true // recycle locally without an NFDrops charge (see runBatch)
 		}
-		p.Drop = true // recycle locally without an NFDrops charge (see runChunk)
+		if refused := len(ps) - client.Offer(wire); refused > 0 {
+			e.RemoteDrops.Add(uint64(refused))
+		}
 	}
 	s.rem = l
 	e.remotes = append(e.remotes, l)

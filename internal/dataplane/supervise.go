@@ -211,14 +211,15 @@ func decInflight(v *atomic.Int64) bool {
 // panicString renders a recovered panic value (cold path).
 func panicString(r any) string { return fmt.Sprint(r) }
 
-// emit forwards a supervision event to the attached event log, if any.
+// emit forwards an event to the attached event log, if any. Decisions reach
+// it through record; direct callers are the events with no journal record.
 func (e *Engine) emit(lvl telemetry.Level, typ string, fields ...telemetry.Field) {
 	if e.events != nil {
 		e.events.Emit(time.Since(e.startWall).Seconds(), lvl, typ, fields...)
 	}
 }
 
-// setHealth transitions a stage's health state, emitting the change.
+// setHealth transitions a stage's health state, recording the change.
 func (e *Engine) setHealth(s *stage, h Health) {
 	e.setHealthNote(s, h, "")
 }
@@ -230,8 +231,6 @@ func (e *Engine) setHealthNote(s *stage, h Health, note string) {
 		e.record(Decision{Kind: DecisionHealth, Chain: -1, Stage: s.name,
 			From: from.String(), To: h.String(),
 			Failures: int(s.consecFails.Load()), Note: note})
-		e.emit(telemetry.LevelInfo, "stage_health",
-			telemetry.F("stage", s.name), telemetry.F("state", h.String()))
 	}
 }
 
@@ -270,8 +269,6 @@ func (e *Engine) failStage(s *stage, kind, msg string) {
 		s.restartAtNanos.Store(restartNever)
 		e.record(Decision{Kind: DecisionCircuitOpen, Chain: -1, Stage: s.name,
 			Failures: fails, Note: kind + ": " + msg})
-		e.emit(telemetry.LevelWarn, "stage_circuit_open",
-			telemetry.F("stage", s.name), telemetry.F("failures", fails))
 	} else {
 		s.restartAtNanos.Store(time.Now().UnixNano() + e.restartBackoff(fails).Nanoseconds())
 	}
@@ -330,15 +327,11 @@ func (e *Engine) recomputeChainsDown() {
 			}
 		}
 		if e.chainDown[ci].Swap(down) != down {
-			state := "up"
 			kind := DecisionChainUp
 			if down {
-				state = "down"
 				kind = DecisionChainDown
 			}
 			e.record(Decision{Kind: kind, Chain: ci})
-			e.emit(telemetry.LevelInfo, "chain_failclosed",
-				telemetry.F("chain", ci), telemetry.F("state", state))
 		}
 	}
 }
@@ -366,9 +359,6 @@ func (e *Engine) remoteLinkState(l *remoteLink, st remote.State, attempt int) {
 		if attempt > 0 {
 			e.record(Decision{Kind: DecisionRemoteReconnect, Chain: -1,
 				Stage: s.name, Peer: l.addr, Failures: attempt})
-			e.emit(telemetry.LevelInfo, "remote_reconnect",
-				telemetry.F("stage", s.name), telemetry.F("peer", l.addr),
-				telemetry.F("attempts", attempt))
 		}
 		s.consecFails.Store(0)
 		e.setHealthNote(s, Healthy, "remote: connected "+l.addr)
@@ -384,9 +374,6 @@ func (e *Engine) remoteLinkState(l *remoteLink, st remote.State, attempt int) {
 			Stage: s.name, Peer: l.addr, Failures: attempt})
 		e.setHealthNote(s, Failed, "remote: circuit open "+l.addr)
 		e.recomputeChainsDown()
-		e.emit(telemetry.LevelWarn, "remote_circuit_open",
-			telemetry.F("stage", s.name), telemetry.F("peer", l.addr),
-			telemetry.F("failures", attempt))
 	case remote.StateClosed:
 		// Engine shutdown owns the final accounting; no health transition.
 	}
@@ -448,7 +435,7 @@ func (e *Engine) sweepRing(r *ring.MPMC[*Packet], counter *atomic.Uint64) uint64
 		if !ok {
 			break
 		}
-		e.freePacket(p)
+		e.PutPacket(p)
 		n++
 	}
 	if n > 0 {

@@ -27,7 +27,7 @@ func reconcile(e *Engine) (injected, accounted uint64) {
 			midDrops += s.drops.Load()
 		}
 	}
-	return e.Injected.Load(), e.Delivered.Load() + e.OutputDrops.Load() +
+	return e.Injected.Load(), e.Delivered.Load() +
 		midDrops + e.NFDrops.Load() + e.FaultDrops.Load() + e.ShutdownDrops.Load()
 }
 

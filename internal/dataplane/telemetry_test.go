@@ -58,9 +58,6 @@ func TestScrapeWhileRunning(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go e.Run(ctx)
-	stop := make(chan struct{})
-	defer close(stop)
-	drain(e, stop)
 
 	// Overdrive a small ring so drops and wasted work occur, scraping
 	// concurrently with the producers.
@@ -77,9 +74,9 @@ func TestScrapeWhileRunning(t *testing.T) {
 		}
 	}
 	// Quiesce: stop injecting and wait until every accepted packet has been
-	// accounted for (delivered, dropped at the full output channel, or
-	// dropped at dpi's receive ring). Until then the batch-flushed counters
-	// lag the in-flight packets and the equalities below would race.
+	// accounted for (delivered, or dropped at dpi's receive ring). Until
+	// then the batch-flushed counters lag the in-flight packets and the
+	// equalities below would race.
 	midDrops := func() uint64 {
 		for _, s := range e.Stats() {
 			if s.Name == "dpi" {
@@ -90,7 +87,7 @@ func TestScrapeWhileRunning(t *testing.T) {
 	}
 	waitUntil := time.Now().Add(5 * time.Second)
 	for time.Now().Before(waitUntil) {
-		if e.Injected.Load() == e.Delivered.Load()+e.OutputDrops.Load()+midDrops() &&
+		if e.Injected.Load() == e.Delivered.Load()+midDrops() &&
 			e.Delivered.Load() > 0 {
 			break
 		}
@@ -155,30 +152,30 @@ func TestScrapeWhileRunning(t *testing.T) {
 	}
 
 	// Engine-level accounting reconciles through the scrape: every packet
-	// accepted into the chain was delivered, dropped at the full output
-	// channel, or dropped at a mid-chain receive ring.
+	// accepted into the chain was delivered or dropped at a mid-chain
+	// receive ring.
 	injected := vals["dataplane_injected_total"]
 	if injected == 0 {
 		t.Error("dataplane_injected_total = 0")
 	}
 	accounted := vals["dataplane_delivered_total"] +
-		vals["dataplane_output_drops_total"] +
 		vals[`dataplane_stage_queue_drops_total{stage="dpi",id="1",core="0"}`]
 	if injected != accounted {
-		t.Errorf("scrape does not reconcile: injected %v != delivered+output_drops+mid_drops %v",
+		t.Errorf("scrape does not reconcile: injected %v != delivered+mid_drops %v",
 			injected, accounted)
 	}
 }
 
 // TestStageDropAndWastedCounters pins the attribution of the new per-stage
-// counters: with the output channel never drained, every delivery past its
-// capacity is wasted work charged to the stage that processed the packet, and
-// overdriving the small entry ring charges queue drops to the entry stage.
-// HighFrac 1.0 disables early entry shedding so the ring genuinely fills.
+// counters: a packet that dies at the slow second stage's full receive ring
+// is wasted work charged to the stage that processed it, and overdriving the
+// small entry ring charges queue drops to the entry stage. HighFrac 1.0
+// disables early entry shedding so the rings genuinely fill.
 func TestStageDropAndWastedCounters(t *testing.T) {
 	e := New(Config{RingSize: 16, BatchSize: 8, WeightPeriod: 0, HighFrac: 1.0, LowFrac: 0.5})
 	a := e.AddStage("a", 1024, func(p *Packet) {})
-	ch, err := e.AddChain(a)
+	b := e.AddStage("b", 1024, func(p *Packet) { spin(20 * time.Microsecond) })
+	ch, err := e.AddChain(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +206,7 @@ func TestStageDropAndWastedCounters(t *testing.T) {
 	}
 	wasted, qdrops := stats()
 	if wasted == 0 {
-		t.Error("stage a recorded no wasted work despite a full output channel")
+		t.Error("stage a recorded no wasted work despite b's full receive ring")
 	}
 	if qdrops == 0 {
 		t.Error("stage a recorded no queue drops despite an overdriven entry ring")

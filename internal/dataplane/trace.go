@@ -60,7 +60,7 @@ type Span struct {
 	// Seq is the sampler's packet sequence number at inject.
 	Seq uint64
 	// InjectNanos is the chain-entry timestamp; DeliverNanos is when the
-	// packet reached the output boundary (sink, output channel, or tap).
+	// packet reached the output boundary (the sink).
 	InjectNanos  int64
 	DeliverNanos int64
 	// N is how many hops committed stamps (equals the chain length for a
@@ -257,9 +257,7 @@ func (e *Engine) stampSpans(ps []*Packet) {
 }
 
 // completeSpan detaches and spools a span whose packet reached the output
-// boundary. (An output-channel consumer that then fails to drain still
-// counts the span as completed: the span records the journey through the
-// pipeline, OutputDrops records the final disposition.)
+// boundary.
 func (e *Engine) completeSpan(p *Packet, nowNanos int64) {
 	sp := p.span
 	p.span = nil

@@ -21,7 +21,7 @@ func init() {
 	Register(Experiment{
 		Name:  "h-conservation",
 		Title: "Exact ledger closure through faults",
-		Claim: "Injected == Delivered + MidRingDrops + OutputDrops + NFDrops + FaultDrops + " +
+		Claim: "Injected == Delivered + MidRingDrops + NFDrops + FaultDrops + " +
 			"ShutdownDrops + RemoteDelivered + RemoteDrops holds exactly after shutdown, through " +
 			"seeded handler panics, sub- and super-grant-deadline stalls, probabilistic NF drops, " +
 			"supervised restarts under FailClosed and FailOpen policies, and — for cross-host " +

@@ -16,6 +16,7 @@ package hypo
 // both are checked.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"strconv"
@@ -57,6 +58,7 @@ func runFIFO(ctx RunCtx) (Outcome, error) {
 
 	cfg := dataplane.Config{
 		RingSize: 512, BatchSize: 16, Movers: movers,
+		FrameSize:      8, // the per-flow sequence number
 		WeightPeriod:   10 * time.Millisecond,
 		DrainTimeout:   2 * time.Second,
 		RestartBackoff: time.Millisecond,
@@ -90,8 +92,8 @@ func runFIFO(ctx RunCtx) (Outcome, error) {
 		}
 	}
 
-	// The sink checks per-flow monotonicity: sequence numbers ride in
-	// Userdata, assigned in injection order by the single producer.
+	// The sink checks per-flow monotonicity: sequence numbers ride in the
+	// 8-byte frame, assigned in injection order by the single producer.
 	var (
 		mu         sync.Mutex
 		lastSeq    [nFlows]int
@@ -105,7 +107,7 @@ func runFIFO(ctx RunCtx) (Outcome, error) {
 		mu.Lock()
 		for _, p := range ps {
 			f := p.FlowID
-			s := p.Userdata.(int)
+			s := int(binary.LittleEndian.Uint64(p.Frame))
 			if s <= lastSeq[f] {
 				inversions[f]++
 			}
@@ -155,7 +157,7 @@ func runFIFO(ctx RunCtx) (Outcome, error) {
 		p := e.GetPacket()
 		p.FlowID = sent % nFlows
 		p.Size = 64
-		p.Userdata = sent / nFlows
+		p.Frame = binary.LittleEndian.AppendUint64(p.Frame[:0], uint64(sent/nFlows))
 		ok := false
 		if handle != nil {
 			ok = handle.Inject(p)
@@ -198,7 +200,7 @@ func runFIFO(ctx RunCtx) (Outcome, error) {
 			p := e.GetPacket()
 			p.FlowID = sent % nFlows
 			p.Size = 64
-			p.Userdata = sent / nFlows
+			p.Frame = binary.LittleEndian.AppendUint64(p.Frame[:0], uint64(sent/nFlows))
 			if e.Inject(p) {
 				sent++
 				extra++

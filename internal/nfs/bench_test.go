@@ -12,19 +12,17 @@ import (
 	"nfvnice/internal/proto"
 )
 
-// The real-NF benchmark family measures the paper's firewall→NAT→monitor
-// service chain on the live engine — real header parsing, RFC 1624
-// incremental checksum rewrites, per-flow accounting — over two transports:
+// BenchmarkRealNFChain3 measures the paper's firewall→NAT→monitor service
+// chain on the live engine — real header parsing, RFC 1624 incremental
+// checksum rewrites, per-flow accounting — on the zero-copy frame path: wire
+// bytes live in preallocated arena slots (Config.FrameSize) and NFs mutate
+// them in place. TestRealNFChainZeroAllocs gates this path at 0 allocs/pkt.
+// (The heap-frame-per-packet baseline it replaced, 2× slower with 2
+// allocs/pkt, is frozen in BENCH_dataplane.json.)
 //
-//   - BenchmarkRealNFChain3 rides the zero-copy frame path: wire bytes live
-//     in preallocated arena slots (Config.FrameSize) and NFs mutate them in
-//     place. TestRealNFChainZeroAllocs gates this path at 0 allocs/pkt.
-//   - BenchmarkRealNFChain3Boxed rides the legacy Userdata path: a heap
-//     frame and an interface box per packet, the cost the arena deletes.
-//
-// Both use the same closed-loop harness as internal/dataplane/bench_test.go
+// It uses the same closed-loop harness as internal/dataplane/bench_test.go
 // (RingSize 4096, BatchSize 256, inflight window 1024) so ns/pkt deltas are
-// attributable to the transport, not the topology.
+// attributable to the NFs, not the topology.
 
 const (
 	realBenchBatch    = 64
@@ -64,9 +62,8 @@ func realTemplates() [][]byte {
 	return tpls
 }
 
-// newRealChainEngine assembles the live engine over the chain. frameSize 0
-// selects the boxed Userdata transport (no arena) with the deprecated
-// per-packet Adapt; otherwise stages run batch-adapted on arena frames.
+// newRealChainEngine assembles the live engine over the chain, its stages
+// batch-adapted on arena frames of frameSize bytes.
 func newRealChainEngine(tb testing.TB, frameSize int) *dataplane.Engine {
 	tb.Helper()
 	e := dataplane.New(dataplane.Config{
@@ -76,12 +73,7 @@ func newRealChainEngine(tb testing.TB, frameSize int) *dataplane.Engine {
 	})
 	ids := make([]int, 0, 3)
 	for _, p := range realChainProcs() {
-		if frameSize > 0 {
-			ids = append(ids, e.AddBatchStage(p.Name(), 1024, nfs.AdaptBatch(p)))
-		} else {
-			//lint:ignore SA1019 the deprecated boxed path is exactly what this baseline measures
-			ids = append(ids, e.AddStage(p.Name(), 1024, nfs.Adapt(p)))
-		}
+		ids = append(ids, e.AddBatchStage(p.Name(), 1024, nfs.AdaptBatch(p)))
 	}
 	ch, err := e.AddChain(ids...)
 	if err != nil {
@@ -93,7 +85,7 @@ func newRealChainEngine(tb testing.TB, frameSize int) *dataplane.Engine {
 
 // runRealChainBench is the closed-loop driver: b.N packets cross the chain
 // with a bounded inflight window; fill copies flow f's template into the
-// descriptor's transport (arena frame or heap box).
+// descriptor's arena frame.
 func runRealChainBench(b *testing.B, e *dataplane.Engine, fill func(p *dataplane.Packet, f int)) {
 	var received atomic.Int64
 	sinkCache := e.NewPacketCache(2 * realBenchBatch)
@@ -149,19 +141,6 @@ func fillFrame(tpls [][]byte) func(p *dataplane.Packet, f int) {
 	}
 }
 
-// fillBoxed allocates a fresh heap frame and boxes it into Userdata — the
-// only safe contract the legacy path offers, since a recycled descriptor
-// gives no ownership signal for whatever buffer it last carried.
-func fillBoxed(tpls [][]byte) func(p *dataplane.Packet, f int) {
-	return func(p *dataplane.Packet, f int) {
-		tpl := tpls[f]
-		frame := make([]byte, len(tpl))
-		copy(frame, tpl)
-		p.Userdata = frame
-		p.Size = len(tpl)
-	}
-}
-
 // BenchmarkRealNFChain3 measures firewall→NAT→monitor on arena frames: the
 // zero-copy path the engine now runs real NFs on at line rate.
 func BenchmarkRealNFChain3(b *testing.B) {
@@ -170,20 +149,11 @@ func BenchmarkRealNFChain3(b *testing.B) {
 	runRealChainBench(b, e, fillFrame(tpls))
 }
 
-// BenchmarkRealNFChain3Boxed measures the same chain over the legacy boxed
-// Userdata transport — one heap frame and one interface box per packet —
-// recorded once as the baseline the frame path must beat by ≥2×.
-func BenchmarkRealNFChain3Boxed(b *testing.B) {
-	tpls := realTemplates()
-	e := newRealChainEngine(b, 0)
-	runRealChainBench(b, e, fillBoxed(tpls))
-}
-
 // TestRealNFChainZeroAllocs is the allocation gate for real NFs on the
 // frame path: once the NAT and monitor flow tables are warm, pushing
 // packets through the live firewall→NAT→monitor chain must not allocate —
-// frames ride arena slots, verdicts route through Packet.Drop, and the
-// batch adapter's scratch is reused. CI fails on any regression here.
+// frames ride arena slots and verdicts route through Packet.Drop. CI fails
+// on any regression here.
 func TestRealNFChainZeroAllocs(t *testing.T) {
 	tpls := realTemplates()
 	e := newRealChainEngine(t, len(tpls[0]))

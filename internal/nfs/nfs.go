@@ -1,9 +1,9 @@
 // Package nfs implements the network functions the paper's introduction
 // motivates — bridge, monitor, firewall, NAT, router, DPI, load balancer —
 // as real packet processors over internal/proto frames. They run in the
-// concurrent dataplane (each satisfies Processor; Adapt turns one into a
-// dataplane.Handler) and double as realistic cost generators: their cycle
-// costs vary with packet contents exactly the way §2.1 describes.
+// concurrent dataplane (each satisfies Processor; AdaptBatch turns one into
+// a dataplane.BatchHandler) and double as realistic cost generators: their
+// cycle costs vary with packet contents exactly the way §2.1 describes.
 package nfs
 
 import (
@@ -41,98 +41,21 @@ type Processor interface {
 	Process(frame []byte) Verdict
 }
 
-// BatchProcessor is an optional Processor extension for NFs that can
-// amortize work — interface dispatch, table lookups, branch setup — across
-// a whole mover-sweep batch. ProcessBatch receives the batch's frames and a
-// verdict slice pre-initialized to Accept; it writes Drop for frames to
-// discard. Both slices are the caller's scratch and must not be retained.
-type BatchProcessor interface {
-	Processor
-	ProcessBatch(frames [][]byte, verdicts []Verdict)
-}
-
-// AdaptFrame wraps a Processor as a per-packet dataplane Handler on the
-// zero-copy frame path: the NF mutates Packet.Frame in place (no boxing, no
-// copy) and a Drop verdict routes through Packet.Drop, so the worker
-// recycles the descriptor and the conservation ledger charges an NFDrop.
-// Frameless packets (descriptor-only traffic) pass through untouched.
-func AdaptFrame(p Processor) dataplane.Handler {
-	return func(pkt *dataplane.Packet) {
-		if len(pkt.Frame) == 0 {
-			return
-		}
-		if p.Process(pkt.Frame) == Drop {
-			pkt.Drop = true
-		}
-	}
-}
-
-// AdaptBatch wraps a Processor as a dataplane BatchHandler: one closure
-// call and one interface dispatch cover the worker's whole dequeued chunk.
-// Processors implementing BatchProcessor get the frames as a batch (and can
-// amortize their own per-packet costs — e.g. flow-table lookups across a
-// sweep); plain Processors are called per frame but still save the
-// per-packet handler indirection. Verdicts route through Packet.Drop.
-//
-// The returned handler keeps reusable scratch, so each AdaptBatch value
-// must back at most one stage (stage handlers are grant-serialized; two
-// stages sharing one adapter would race the scratch).
+// AdaptBatch wraps a Processor as a dataplane BatchHandler: one closure call
+// covers the worker's whole dequeued chunk, and the NF mutates each
+// Packet.Frame in place (no boxing, no copy). A Drop verdict routes through
+// Packet.Drop, so the worker recycles the descriptor and the conservation
+// ledger charges an NFDrop. Frameless packets (descriptor-only traffic) pass
+// through untouched.
 func AdaptBatch(p Processor) dataplane.BatchHandler {
-	bp, batched := p.(BatchProcessor)
-	if !batched {
-		return func(pkts []*dataplane.Packet) {
-			for _, pkt := range pkts {
-				if len(pkt.Frame) == 0 {
-					continue
-				}
-				if p.Process(pkt.Frame) == Drop {
-					pkt.Drop = true
-				}
-			}
-		}
-	}
-	var frames [][]byte
-	var verdicts []Verdict
 	return func(pkts []*dataplane.Packet) {
-		if cap(frames) < len(pkts) {
-			frames = make([][]byte, len(pkts))
-			verdicts = make([]Verdict, len(pkts))
-		}
-		frames = frames[:len(pkts)]
-		verdicts = verdicts[:len(pkts)]
-		for i, pkt := range pkts {
-			frames[i] = pkt.Frame
-			verdicts[i] = Accept
-		}
-		bp.ProcessBatch(frames, verdicts)
-		for i, pkt := range pkts {
-			if verdicts[i] == Drop && len(pkt.Frame) > 0 {
+		for _, pkt := range pkts {
+			if len(pkt.Frame) == 0 {
+				continue
+			}
+			if p.Process(pkt.Frame) == Drop {
 				pkt.Drop = true
 			}
-			frames[i] = nil
-		}
-	}
-}
-
-// Adapt wraps a Processor as a dataplane Handler over the legacy boxed
-// path: the frame travels in Packet.Userdata as []byte — a heap frame and
-// an interface box per packet, plus a type assertion per hop.
-//
-// Deprecated: use AdaptFrame or AdaptBatch with Config.FrameSize so frames
-// ride the preallocated arena instead of the heap. Adapt remains only as
-// the measured baseline (BenchmarkRealNFChain3Boxed) and for callers not
-// yet migrated. Note a Drop verdict now also sets Packet.Drop: dropped
-// frames used to sail on as deliveries, invisible to the conservation
-// ledger's NFDrops class.
-func Adapt(p Processor) dataplane.Handler {
-	return func(pkt *dataplane.Packet) {
-		frame, ok := pkt.Userdata.([]byte)
-		if !ok || frame == nil {
-			return
-		}
-		if p.Process(frame) == Drop {
-			pkt.Userdata = nil
-			pkt.Drop = true
 		}
 	}
 }

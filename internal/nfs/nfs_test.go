@@ -374,28 +374,25 @@ func TestLoadBalancerPassThrough(t *testing.T) {
 	}
 }
 
-func TestAdaptDropsClearUserdata(t *testing.T) {
-	fw := NewFirewall(Drop)
-	h := Adapt(fw)
-	pktDropped := pkt(udpFrame(outside, insideA, 1, 2, "x"))
-	h(pktDropped)
-	if pktDropped.Userdata != nil {
-		t.Fatal("dropped frame not cleared")
+func TestAdaptBatchVerdicts(t *testing.T) {
+	deny := AdaptBatch(NewFirewall(Drop))
+	allow := AdaptBatch(NewFirewall(Accept))
+	frame := func() *dataplane.Packet {
+		return &dataplane.Packet{Frame: udpFrame(outside, insideA, 1, 2, "x")}
 	}
-	if !pktDropped.Drop {
+	dropped, frameless := frame(), &dataplane.Packet{}
+	deny([]*dataplane.Packet{dropped, frameless})
+	if !dropped.Drop {
 		t.Fatal("Drop verdict must set Packet.Drop so the ledger charges an NFDrop")
 	}
-	fwAllow := NewFirewall(Accept)
-	h2 := Adapt(fwAllow)
-	pktOK := pkt(udpFrame(outside, insideA, 1, 2, "x"))
-	h2(pktOK)
-	if pktOK.Userdata == nil {
-		t.Fatal("accepted frame cleared")
+	if frameless.Drop {
+		t.Fatal("frameless packet must pass through untouched")
 	}
-	// nil Userdata passes through untouched.
-	h2(pktOK)
-	pktNil := pkt(nil)
-	h2(pktNil)
+	ok := frame()
+	allow([]*dataplane.Packet{ok})
+	if ok.Drop || len(ok.Frame) == 0 {
+		t.Fatal("accepted frame dropped or cleared")
+	}
 }
 
 func BenchmarkNATOutbound(b *testing.B) {
@@ -429,13 +426,4 @@ func BenchmarkDPI64B(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		d.Process(fr)
 	}
-}
-
-// pkt wraps a frame for the dataplane adapter tests.
-func pkt(frame []byte) *dataplane.Packet {
-	var ud any
-	if frame != nil {
-		ud = frame
-	}
-	return &dataplane.Packet{Userdata: ud}
 }
