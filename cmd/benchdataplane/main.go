@@ -16,7 +16,7 @@
 //	go run ./cmd/benchdataplane -movers 1,2,4 -benchtime 2s -out BENCH_dataplane.json
 //
 //	# Core-count scaling sweep: pins GOMAXPROCS per point, Movers = Cores,
-//	# lane-path injection; writes the "scaling" section of the JSON:
+//	# writes the "scaling" section of the JSON:
 //	go run ./cmd/benchdataplane -cores 1,2,4,8 -benchtime 2s -out BENCH_dataplane.json
 //
 //	# Compare two saved runs (fallback when benchstat is not installed);

@@ -37,16 +37,15 @@ func sweepMovers(movers int, window time.Duration) Result {
 	for i := range ids {
 		ids[i] = e.AddStage("nf"+string(rune('a'+i)), 1024, func(p *dataplane.Packet) {})
 	}
-	return runSweep(e, ids, window, false)
+	return runSweep(e, ids, window)
 }
 
 // sweepCores is the core-count scaling point: GOMAXPROCS is pinned to the
-// core count for the whole measurement, the engine runs one mover per core
-// with the chain's stages spread across the cores, and injection goes
-// through a producer lane (the parallel-producer fast path) instead of the
-// shared entry ring. On a host with fewer physical CPUs than the pinned
-// count the movers time-share and the curve flattens — the recorded
-// maxprocs_host makes that visible next to the points.
+// core count for the whole measurement, and the engine runs one mover per
+// core with the chain's stages spread across the cores. On a host with
+// fewer physical CPUs than the pinned count the movers time-share and the
+// curve flattens — the recorded maxprocs_host makes that visible next to
+// the points.
 func sweepCores(cores int, window time.Duration) Result {
 	prev := runtime.GOMAXPROCS(cores)
 	defer runtime.GOMAXPROCS(prev)
@@ -60,14 +59,12 @@ func sweepCores(cores int, window time.Duration) Result {
 	for i := range ids {
 		ids[i] = e.AddStageOn("nf"+string(rune('a'+i)), 1024, i%cores, func(p *dataplane.Packet) {})
 	}
-	return runSweep(e, ids, window, true)
+	return runSweep(e, ids, window)
 }
 
-// runSweep drives the prepared engine closed-loop for the warmup plus the
-// measurement window. With lanes set, injection goes through a registered
-// ProducerHandle (per-producer SPSC lane); otherwise through the shared
-// entry ring via Engine.InjectBatch.
-func runSweep(e *dataplane.Engine, ids []int, window time.Duration, lanes bool) Result {
+// runSweep drives the prepared engine closed-loop, through one producer
+// lane, for the warmup plus the measurement window.
+func runSweep(e *dataplane.Engine, ids []int, window time.Duration) Result {
 	ch, err := e.AddChain(ids...)
 	if err != nil {
 		panic(err)
@@ -83,10 +80,7 @@ func runSweep(e *dataplane.Engine, ids []int, window time.Duration, lanes bool) 
 	done := make(chan struct{})
 	go func() { e.Run(ctx); close(done) }()
 
-	var lane *dataplane.ProducerHandle
-	if lanes {
-		lane = e.ProducerHandle(0)
-	}
+	lane := e.ProducerHandle(0)
 	cache := e.NewPacketCache(2 * sweepBatch)
 	batch := make([]*dataplane.Packet, sweepBatch)
 	// injected is cumulative across the warmup and measured phases — the
@@ -101,15 +95,11 @@ func runSweep(e *dataplane.Engine, ids []int, window time.Duration, lanes bool) 
 					p.Size = 64
 					batch[i] = p
 				}
-				if lane != nil {
-					k := lane.InjectBatch(batch)
-					injected += int64(k)
-					// Lane full: the rejected tail stays ours — recycle it.
-					for _, p := range batch[k:] {
-						cache.Put(p)
-					}
-				} else {
-					injected += int64(e.InjectBatch(batch))
+				k := lane.InjectBatch(batch)
+				injected += int64(k)
+				// Lane full: the rejected tail stays ours — recycle it.
+				for _, p := range batch[k:] {
+					cache.Put(p)
 				}
 			} else {
 				runtime.Gosched()

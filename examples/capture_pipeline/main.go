@@ -57,7 +57,11 @@ func main() {
 	runDone := make(chan struct{})
 	go func() { e.Run(ctx); close(runDone) }()
 
-	// Offer a mix of benign and malicious traffic.
+	// Offer a mix of benign and malicious traffic through the producer's
+	// lane. Lane acceptance only means "offered": pace against the ledger
+	// (accepted-but-unsettled packets plus the lane's own backlog) so the
+	// chain entry never has a reason to shed.
+	h := e.ProducerHandle(0)
 	macA := proto.MAC{2, 0, 0, 0, 0, 1}
 	macB := proto.MAC{2, 0, 0, 0, 0, 2}
 	src := proto.Addr4(10, 0, 0, 1)
@@ -76,12 +80,10 @@ func main() {
 		p.Frame = buf[:n]
 		p.Size = n
 		p.FlowID = 0
-		if e.Inject(p) {
-			sent++
-		} else {
-			e.PutPacket(p)
+		for h.Len()+int(e.LedgerSnapshot().Residual()) >= 256 || !h.Inject(p) {
 			time.Sleep(50 * time.Microsecond)
 		}
+		sent++
 	}
 	time.Sleep(300 * time.Millisecond)
 	cancel()

@@ -99,6 +99,7 @@ func main() {
 	done := make(chan struct{})
 	go func() { e.Run(ctx); close(done) }()
 
+	h := e.ProducerHandle(0)
 	go func() {
 		cache := e.NewPacketCache(256)
 		batch := make([]*dataplane.Packet, 8)
@@ -109,7 +110,10 @@ func main() {
 				p.Size = 64
 				batch[i] = p
 			}
-			e.InjectBatch(batch)
+			// The lane keeps what it accepted; a full lane's tail is ours.
+			for _, p := range batch[h.InjectBatch(batch):] {
+				cache.Put(p)
+			}
 			time.Sleep(50 * time.Microsecond)
 		}
 	}()

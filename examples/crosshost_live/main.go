@@ -137,6 +137,7 @@ func runUp(ctx context.Context, peer string, rate int, dur time.Duration, kill i
 	deadline := time.Now().Add(dur)
 	tick := time.NewTicker(time.Millisecond)
 	defer tick.Stop()
+	h := e.ProducerHandle(0)
 	var sent uint64
 	for time.Now().Before(deadline) && ctx.Err() == nil {
 		<-tick.C
@@ -148,7 +149,7 @@ func runUp(ctx context.Context, peer string, rate int, dur time.Duration, kill i
 			p := e.GetPacket()
 			p.FlowID = 1
 			p.Size = 64
-			if e.Inject(p) {
+			if h.Inject(p) {
 				sent++
 			} else {
 				e.PutPacket(p)

@@ -126,8 +126,11 @@ func main() {
 
 	// Offer equal load to both chains until the context ends, on the
 	// batch-amortized hot path: descriptors come from a per-goroutine
-	// freelist cache and InjectBatch publishes each same-flow run with one
-	// ring reservation.
+	// freelist cache, the producer's lane takes each batch with one ring
+	// publish, and the lane's mover routes each same-flow run into its chain
+	// entry with one reservation. What the entries shed shows up in the
+	// ledger, not in InjectBatch's return value.
+	h := e.ProducerHandle(0)
 	go func() {
 		cache := e.NewPacketCache(256)
 		batch := make([]*dataplane.Packet, 8)
@@ -143,7 +146,10 @@ func main() {
 				p.Size = 64
 				batch[i] = p
 			}
-			e.InjectBatch(batch)
+			// The lane keeps what it accepted; a full lane's tail is ours.
+			for _, p := range batch[h.InjectBatch(batch):] {
+				cache.Put(p)
+			}
 			time.Sleep(80 * time.Microsecond)
 		}
 	}()

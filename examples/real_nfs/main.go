@@ -81,6 +81,10 @@ func main() {
 	// Inject a realistic mix: DNS queries (allowed), HTTP (allowed, one
 	// carrying an exploit string the DPI kills), and SSH (firewalled).
 	// Each frame is copied once into an arena slot at ingress.
+	// The producer's lane only promises to offer a frame to the chain, so
+	// pace against the ledger (unsettled packets plus the lane's backlog):
+	// held below the watermark, the entry sheds nothing.
+	h := e.ProducerHandle(0)
 	injected := 0
 	inject := func(frame []byte) {
 		p := e.GetPacket()
@@ -89,7 +93,7 @@ func main() {
 		p.Frame = buf[:n]
 		p.Size = n
 		p.FlowID = 0
-		for !e.Inject(p) {
+		for h.Len()+int(e.LedgerSnapshot().Residual()) >= 256 || !h.Inject(p) {
 			time.Sleep(10 * time.Microsecond)
 		}
 		injected++

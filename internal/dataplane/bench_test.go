@@ -71,11 +71,41 @@ func reportRate(b *testing.B, elapsed time.Duration) {
 	}
 }
 
+// closedLoop pushes total packets through h in benchBatch bursts, keeping at
+// most benchInflight of them undelivered, and returns how long it took for
+// the sink to count them all. A lane-full tail goes back to the producer's
+// cache and is retried with fresh descriptors on the next pass.
+func closedLoop(e *Engine, h *ProducerHandle, received *atomic.Int64, total int) time.Duration {
+	cache := e.NewPacketCache(2 * benchBatch)
+	batch := make([]*Packet, benchBatch)
+	start := time.Now()
+	injected := 0
+	for int(received.Load()) < total {
+		n := min(total-injected, benchBatch)
+		if n > 0 && injected-int(received.Load()) < benchInflight {
+			for i := 0; i < n; i++ {
+				p := cache.Get()
+				p.FlowID = 0
+				p.Size = 64
+				batch[i] = p
+			}
+			k := h.InjectBatch(batch[:n])
+			injected += k
+			for _, p := range batch[k:n] {
+				cache.Put(p)
+			}
+		} else {
+			runtime.Gosched()
+		}
+	}
+	return time.Since(start)
+}
+
 // runChainBench drives b.N packets through a chain of `stages` no-op stages
-// on the batch-amortized hot path — PacketCache allocation, InjectBatch
-// injection, Sink delivery, recycling — and reports pps and ns/pkt. The
-// handler is a no-op so the measurement isolates framework overhead:
-// injection, ring transfer per hop, scheduling, movement, delivery and
+// on the batch-amortized hot path — PacketCache allocation, lane injection,
+// Sink delivery, recycling — and reports pps and ns/pkt. The handler is a
+// no-op so the measurement isolates framework overhead: lane enqueue, entry
+// routing, ring transfer per hop, scheduling, movement, delivery and
 // recycling.
 func runChainBench(b *testing.B, stages int) {
 	runChainBenchEngine(b, newBenchEngine(b, stages))
@@ -90,35 +120,14 @@ func runChainBenchEngine(b *testing.B, e *Engine) {
 		}
 		received.Add(int64(len(ps)))
 	})
+	h := e.ProducerHandle(0)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go e.Run(ctx)
 
-	cache := e.NewPacketCache(2 * benchBatch)
-	batch := make([]*Packet, benchBatch)
-
 	b.ReportAllocs()
 	b.ResetTimer()
-	start := time.Now()
-	injected := 0
-	for int(received.Load()) < b.N {
-		n := b.N - injected
-		if n > benchBatch {
-			n = benchBatch
-		}
-		if n > 0 && injected-int(received.Load()) < benchInflight {
-			for i := 0; i < n; i++ {
-				p := cache.Get()
-				p.FlowID = 0
-				p.Size = 64
-				batch[i] = p
-			}
-			injected += e.InjectBatch(batch[:n])
-		} else {
-			runtime.Gosched()
-		}
-	}
-	reportRate(b, time.Since(start))
+	reportRate(b, closedLoop(e, h, &received, b.N))
 }
 
 // BenchmarkInjectSteadyState measures the full inject→process→deliver path
@@ -141,13 +150,11 @@ func BenchmarkChain3StagesSampled(b *testing.B) {
 }
 
 // runChainBenchMovers is the multi-core variant of runChainBench: a
-// 3-stage chain with the TX path sharded across `movers` shards, the
-// scheduler spread over as many cores, and injection through a registered
-// ProducerHandle lane (the contention-free entry path the scaling work
-// added). With Movers > 1 the sink runs concurrently, so delivery recycles
-// through the batch freelist path (PutPacketBatch); every sweep point uses
-// the same sink so the curve isolates mover parallelism, not recycle-path
-// differences.
+// 3-stage chain with the TX path sharded across `movers` shards and the
+// scheduler spread over as many cores. With Movers > 1 the sink runs
+// concurrently, so delivery recycles through the batch freelist path
+// (PutPacketBatch); every sweep point uses the same sink so the curve
+// isolates mover parallelism, not recycle-path differences.
 func runChainBenchMovers(b *testing.B, stages, movers int) {
 	e := newBenchEngineMovers(b, stages, movers)
 	var received atomic.Int64
@@ -160,43 +167,14 @@ func runChainBenchMovers(b *testing.B, stages, movers int) {
 	defer cancel()
 	go e.Run(ctx)
 
-	cache := e.NewPacketCache(2 * benchBatch)
-	batch := make([]*Packet, benchBatch)
-
 	b.ReportAllocs()
 	b.ResetTimer()
-	start := time.Now()
-	injected := 0
-	for int(received.Load()) < b.N {
-		n := b.N - injected
-		if n > benchBatch {
-			n = benchBatch
-		}
-		if n > 0 && injected-int(received.Load()) < benchInflight {
-			for i := 0; i < n; i++ {
-				p := cache.Get()
-				p.FlowID = 0
-				p.Size = 64
-				batch[i] = p
-			}
-			k := h.InjectBatch(batch[:n])
-			injected += k
-			// The lane kept what it accepted; recycle nothing — the
-			// rejected tail is retried next pass via fresh Gets, so
-			// return it to the cache.
-			for _, p := range batch[k:n] {
-				cache.Put(p)
-			}
-		} else {
-			runtime.Gosched()
-		}
-	}
-	reportRate(b, time.Since(start))
+	reportRate(b, closedLoop(e, h, &received, b.N))
 }
 
 // BenchmarkChain3StagesMovers is the multi-core scaling gate for the
 // sharded TX path: the same 3-stage chain at 1, 2 and 4 movers, with the
-// scheduler cores scaled alongside and injection on the lane path. On a
+// scheduler cores scaled alongside. On a
 // ≥4-CPU runner the 4-mover point must reach ≥2.8× the single-mover pps
 // (TestMoverScalingGate enforces it); on fewer CPUs the curve flattens
 // (the shards time-share) but must not collapse below the serial mover.
@@ -208,13 +186,10 @@ func BenchmarkChain3StagesMovers(b *testing.B) {
 	}
 }
 
-// runFanIn drives b.N packets from `producers` concurrent goroutines into
-// one single-stage chain and reports the aggregate rate. The shared variant
-// funnels every producer through Engine.InjectBatch — all of them CASing on
-// the entry ring's reservation index — while the lanes variant gives each
-// producer a private SPSC lane; the gap between the two is the entry-side
-// fan-in contention the lanes eliminate.
-func runFanIn(b *testing.B, producers int, lanes bool) {
+// runFanIn drives b.N packets from `producers` concurrent goroutines, each
+// on its own lane, into one single-stage chain and reports the aggregate
+// rate: the cost of entry fan-in when no two producers share a ring.
+func runFanIn(b *testing.B, producers int) {
 	e := newBenchEngineMovers(b, 1, 1)
 	var received atomic.Int64
 	e.SetSink(func(ps []*Packet) {
@@ -222,10 +197,8 @@ func runFanIn(b *testing.B, producers int, lanes bool) {
 		received.Add(int64(len(ps)))
 	})
 	handles := make([]*ProducerHandle, producers)
-	if lanes {
-		for i := range handles {
-			handles[i] = e.ProducerHandle(0)
-		}
+	for i := range handles {
+		handles[i] = e.ProducerHandle(0)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -236,28 +209,24 @@ func runFanIn(b *testing.B, producers int, lanes bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	start := time.Now()
-	for pi := 0; pi < producers; pi++ {
+	for _, h := range handles {
 		wg.Add(1)
-		go func(pi int) {
+		go func(h *ProducerHandle) {
 			defer wg.Done()
 			cache := e.NewPacketCache(2 * benchBatch)
 			batch := make([]*Packet, benchBatch)
 			for {
 				have := int(injected.Load())
-				n := b.N - have
+				n := min(b.N-have, benchBatch)
 				if n <= 0 {
 					return
-				}
-				if n > benchBatch {
-					n = benchBatch
 				}
 				if have-int(received.Load()) >= benchInflight {
 					runtime.Gosched()
 					continue
 				}
 				// Reserve our slice of the budget optimistically; if
-				// another producer got there first the ring/lane feedback
-				// self-limits via the inflight window.
+				// another producer got there first, go round again.
 				if !injected.CompareAndSwap(int64(have), int64(have+n)) {
 					continue
 				}
@@ -267,26 +236,16 @@ func runFanIn(b *testing.B, producers int, lanes bool) {
 					p.Size = 64
 					batch[i] = p
 				}
-				if lanes {
-					// The lane keeps what it accepted; spin the rejected
-					// tail back in (transient per-producer backpressure).
-					rem := batch[:n]
-					for len(rem) > 0 {
-						rem = rem[handles[pi].InjectBatch(rem):]
-						if len(rem) > 0 {
-							runtime.Gosched()
-						}
-					}
-				} else {
-					// Engine.InjectBatch consumes the whole slice; sheds
-					// (none expected under the inflight window) recycle
-					// internally and shrink the effective budget.
-					if k := e.InjectBatch(batch[:n]); k < n {
-						injected.Add(int64(k - n))
+				// The lane keeps what it accepted; spin the rejected tail
+				// back in (transient per-producer backpressure).
+				for rem := batch[:n]; len(rem) > 0; {
+					rem = rem[h.InjectBatch(rem):]
+					if len(rem) > 0 {
+						runtime.Gosched()
 					}
 				}
 			}
-		}(pi)
+		}(h)
 	}
 	wg.Wait()
 	for int(received.Load()) < int(injected.Load()) {
@@ -295,13 +254,9 @@ func runFanIn(b *testing.B, producers int, lanes bool) {
 	reportRate(b, time.Since(start))
 }
 
-// BenchmarkFanIn4Producers measures 4-producer entry fan-in on both entry
-// paths. The contention gap only shows on multi-CPU hosts; on one CPU the
-// two converge (producers time-share instead of CASing concurrently).
-func BenchmarkFanIn4Producers(b *testing.B) {
-	b.Run("shared", func(b *testing.B) { runFanIn(b, 4, false) })
-	b.Run("lanes", func(b *testing.B) { runFanIn(b, 4, true) })
-}
+// BenchmarkFanIn4Producers measures 4-producer entry fan-in: four lanes
+// drained by one mover into one entry ring.
+func BenchmarkFanIn4Producers(b *testing.B) { runFanIn(b, 4) }
 
 // TestMoverScalingGate is the CI scaling gate in test form: it runs the
 // 3-stage closed loop at 1 and 4 movers (cores scaled alongside) and
@@ -324,32 +279,7 @@ func TestMoverScalingGate(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		go e.Run(ctx)
-		cache := e.NewPacketCache(2 * benchBatch)
-		batch := make([]*Packet, benchBatch)
-		start := time.Now()
-		injected := 0
-		for int(received.Load()) < pkts {
-			n := pkts - injected
-			if n > benchBatch {
-				n = benchBatch
-			}
-			if n > 0 && injected-int(received.Load()) < benchInflight {
-				for i := 0; i < n; i++ {
-					p := cache.Get()
-					p.FlowID = 0
-					p.Size = 64
-					batch[i] = p
-				}
-				k := h.InjectBatch(batch[:n])
-				injected += k
-				for _, p := range batch[k:n] {
-					cache.Put(p)
-				}
-			} else {
-				runtime.Gosched()
-			}
-		}
-		return float64(pkts) / time.Since(start).Seconds()
+		return float64(pkts) / closedLoop(e, h, &received, pkts).Seconds()
 	}
 	cpus := runtime.NumCPU()
 	want := 2.8
@@ -392,10 +322,43 @@ func newBenchEngineMoversT(t *testing.T, stages, movers int) *Engine {
 	return e
 }
 
+// zeroAllocGate is the body of the allocation gates: a 256-packet burst
+// through h, waited out to delivery, must not allocate once the freelist is
+// warm — descriptors come from the freelist and every lane, counter, stamp
+// and ring operation is allocation-free.
+func zeroAllocGate(t *testing.T, e *Engine, h *ProducerHandle, received *atomic.Int64) {
+	t.Helper()
+	cache := e.NewPacketCache(512)
+	batch := make([]*Packet, 256)
+	sent := 0
+	push := func() {
+		for i := range batch {
+			p := cache.Get()
+			p.FlowID = 0
+			p.Size = 64
+			batch[i] = p
+		}
+		for rem := batch; len(rem) > 0; rem = rem[h.InjectBatch(rem):] {
+		}
+		sent += len(batch)
+		for int(received.Load()) < sent {
+			runtime.Gosched()
+		}
+	}
+	// Warm the freelist and reach steady state before measuring.
+	for i := 0; i < 8; i++ {
+		push()
+	}
+	allocs := testing.AllocsPerRun(50, push)
+	if perPacket := allocs / float64(len(batch)); perPacket > 0.01 {
+		t.Fatalf("steady state allocates: %.4f allocs/packet (%.1f per %d-packet batch)",
+			perPacket, allocs, len(batch))
+	}
+}
+
 // TestSteadyStateZeroAllocs is the allocation gate for the hot path: after
-// warm-up, pushing packets through a running chain must not allocate —
-// descriptors come from the freelist and every counter, stamp and ring
-// operation is allocation-free. CI fails on any regression here.
+// warm-up, pushing packets through a running chain must not allocate. CI
+// fails on any regression here.
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	e := New(benchConfig())
 	a := e.AddStage("a", 1024, func(p *Packet) {})
@@ -413,35 +376,11 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		}
 		received.Add(int64(len(ps)))
 	})
+	h := e.ProducerHandle(0)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go e.Run(ctx)
-
-	cache := e.NewPacketCache(512)
-	batch := make([]*Packet, 256)
-	sent := 0
-	push := func() {
-		for i := range batch {
-			p := cache.Get()
-			p.FlowID = 0
-			p.Size = 64
-			batch[i] = p
-		}
-		sent += e.InjectBatch(batch)
-		for int(received.Load()) < sent {
-			runtime.Gosched()
-		}
-	}
-	// Warm the freelist and reach steady state before measuring.
-	for i := 0; i < 8; i++ {
-		push()
-	}
-	allocs := testing.AllocsPerRun(50, push)
-	perPacket := allocs / float64(len(batch))
-	if perPacket > 0.01 {
-		t.Fatalf("steady state allocates: %.4f allocs/packet (%.1f per %d-packet batch)",
-			perPacket, allocs, len(batch))
-	}
+	zeroAllocGate(t, e, h, &received)
 }
 
 // TestSteadyStateZeroAllocsMovers2 holds the allocation gate on the
@@ -466,41 +405,18 @@ func TestSteadyStateZeroAllocsMovers2(t *testing.T) {
 		}
 		received.Add(int64(len(ps)))
 	})
+	h := e.ProducerHandle(0)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go e.Run(ctx)
-
-	cache := e.NewPacketCache(512)
-	batch := make([]*Packet, 256)
-	sent := 0
-	push := func() {
-		for i := range batch {
-			p := cache.Get()
-			p.FlowID = 0
-			p.Size = 64
-			batch[i] = p
-		}
-		sent += e.InjectBatch(batch)
-		for int(received.Load()) < sent {
-			runtime.Gosched()
-		}
-	}
-	for i := 0; i < 8; i++ {
-		push()
-	}
-	allocs := testing.AllocsPerRun(50, push)
-	perPacket := allocs / float64(len(batch))
-	if perPacket > 0.01 {
-		t.Fatalf("sharded steady state allocates: %.4f allocs/packet (%.1f per %d-packet batch)",
-			perPacket, allocs, len(batch))
-	}
+	zeroAllocGate(t, e, h, &received)
 }
 
 // TestSteadyStateZeroAllocsMovers4 is the allocation gate for the full
-// scaling path: four movers over four scheduler cores, injection through a
-// ProducerHandle lane (drain-time routing, adaptive batch, recycler
-// flushes), delivery through PutPacketBatch. The whole
-// lane→route→process→move→deliver→recycle loop must stay allocation-free.
+// scaling path: four movers over four scheduler cores (drain-time routing,
+// adaptive batch, recycler flushes), delivery through PutPacketBatch. The
+// whole lane→route→process→move→deliver→recycle loop must stay
+// allocation-free.
 func TestSteadyStateZeroAllocsMovers4(t *testing.T) {
 	e := newBenchEngineMoversT(t, 2, 4)
 	var received atomic.Int64
@@ -512,37 +428,5 @@ func TestSteadyStateZeroAllocsMovers4(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go e.Run(ctx)
-
-	cache := e.NewPacketCache(512)
-	batch := make([]*Packet, 256)
-	sent := 0
-	push := func() {
-		remaining := len(batch)
-		for remaining > 0 {
-			for i := 0; i < remaining; i++ {
-				p := cache.Get()
-				p.FlowID = 0
-				p.Size = 64
-				batch[i] = p
-			}
-			k := h.InjectBatch(batch[:remaining])
-			sent += k
-			for _, p := range batch[k:remaining] {
-				cache.Put(p)
-			}
-			remaining -= k
-			for int(received.Load()) < sent {
-				runtime.Gosched()
-			}
-		}
-	}
-	for i := 0; i < 8; i++ {
-		push()
-	}
-	allocs := testing.AllocsPerRun(50, push)
-	perPacket := allocs / float64(len(batch))
-	if perPacket > 0.01 {
-		t.Fatalf("lane steady state allocates: %.4f allocs/packet (%.1f per %d-packet batch)",
-			perPacket, allocs, len(batch))
-	}
+	zeroAllocGate(t, e, h, &received)
 }

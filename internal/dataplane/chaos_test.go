@@ -6,7 +6,6 @@ package dataplane_test
 
 import (
 	"context"
-	"runtime"
 	"testing"
 	"time"
 
@@ -80,6 +79,7 @@ func chaosSoak(t *testing.T, movers, sampleShift int) {
 		}
 	})
 
+	h := e.ProducerHandle(0)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() { e.Run(ctx); close(done) }()
@@ -93,10 +93,7 @@ func chaosSoak(t *testing.T, movers, sampleShift int) {
 		}
 		p := e.GetPacket()
 		p.FlowID = 0
-		if !e.Inject(p) {
-			e.PutPacket(p)
-			runtime.Gosched()
-		}
+		dataplane.Offer(h, p)
 	}
 	cancel()
 	select {

@@ -26,10 +26,6 @@ func TestConfigValidate(t *testing.T) {
 		{"high frac one", Config{HighFrac: 1.0, LowFrac: 0.5}, true},
 		{"paper cadences", Config{BackpressurePeriod: time.Millisecond,
 			WeightPeriod: 10 * time.Millisecond}, true},
-		{"negative batch min", Config{MoverBatchMin: -1}, false},
-		{"negative batch max", Config{MoverBatchMax: -1}, false},
-		{"batch min above max", Config{MoverBatchMin: 64, MoverBatchMax: 16}, false},
-		{"batch window", Config{MoverBatchMin: 16, MoverBatchMax: 128}, true},
 		// Negative values with documented meanings must stay legal.
 		{"negative grant timeout", Config{GrantTimeout: -1}, true},
 		{"negative drain timeout", Config{DrainTimeout: -1}, true},

@@ -13,19 +13,21 @@
 // The steady-state hot path is allocation-free and batch-amortized, the
 // regime the paper's ≤32-packet grant quantum targets: packet descriptors
 // come from a per-engine freelist and are recycled on drop and on delivery
-// (by the Sink, or by the engine itself when none is set); stage receive
-// rings are CAS-reserve multi-producer rings so injectors never contend
-// with movers on a lock; workers, movers and injectors move packets with
-// bulk ring operations that publish once per batch; and per-packet
-// wall-clock reads are replaced by a coarse engine clock sampled once per
-// grant and once per moved or injected batch, so end-to-end latency is
-// accurate to within one batch quantum.
+// (by the Sink, or by the engine itself when none is set); every producer
+// owns a private single-producer inject lane (lanes.go), so producers never
+// contend with each other or with movers; stage receive rings are
+// CAS-reserve multi-producer rings so movers never take a lock; workers,
+// movers and producers move packets with bulk ring operations that publish
+// once per batch; and per-packet wall-clock reads are replaced by a coarse
+// engine clock sampled once per grant and once per moved or drained batch,
+// so end-to-end latency is accurate to within one batch quantum.
 //
-// Threading model: user code injects packets from any number of producer
-// goroutines; each stage's handler runs on its own goroutine but only while
-// holding a grant from the scheduler, which serializes stage execution (the
-// shared-CPU-core regime the paper studies) while keeping handlers free to
-// block briefly on their own I/O. The TX path is sharded (mover.go): the
+// Threading model: user code offers packets through one ProducerHandle per
+// producer goroutine — the engine's only ingress — and the lane's owning
+// mover routes them into chain entries; each stage's handler runs on its
+// own goroutine but only while holding a grant from the scheduler, which
+// serializes stage execution (the shared-CPU-core regime the paper studies)
+// while keeping handlers free to block briefly on their own I/O. The TX path is sharded (mover.go): the
 // paper's manager TX threads map to Config.Movers mover goroutines, each
 // owning a static partition of the stages' tx rings, while backpressure,
 // supervision and the weight controller run on a decoupled control
@@ -137,15 +139,6 @@ type Config struct {
 	RingSize int
 	// BatchSize bounds packets processed per grant between yield checks.
 	BatchSize int
-	// MoverBatchMin and MoverBatchMax bound the movers' adaptive sweep
-	// batch: each TX shard grows its per-sweep drain batch toward
-	// MoverBatchMax while its drain-per-sweep EWMA shows sustained backlog
-	// and shrinks it toward MoverBatchMin when sweeps come up light, so
-	// loaded shards get deep batch amortization without idle shards walking
-	// oversized buffers. Defaults: min(32, BatchSize) and
-	// max(256, BatchSize). Setting both to the same value pins the batch.
-	MoverBatchMin int
-	MoverBatchMax int
 	// HighFrac and LowFrac are the backpressure watermarks.
 	HighFrac, LowFrac float64
 	// WeightPeriod is the weight-push cadence: how often the rate-cost
@@ -175,12 +168,10 @@ type Config struct {
 	// passes, then sweeps leftovers into ShutdownDrops (0 takes the 500ms
 	// default; negative skips the drain and sweeps immediately).
 	DrainTimeout time.Duration
-	// RestartBackoff and RestartBackoffMax shape the supervised-restart
-	// schedule: the k-th consecutive failure waits
-	// min(RestartBackoff<<(k-1), RestartBackoffMax), plus jitter
-	// (defaults 2ms and 500ms).
-	RestartBackoff    time.Duration
-	RestartBackoffMax time.Duration
+	// RestartBackoff shapes the supervised-restart schedule: the k-th
+	// consecutive failure waits min(RestartBackoff<<(k-1), 500ms), plus
+	// jitter (default 2ms).
+	RestartBackoff time.Duration
 	// MaxRestarts is the circuit breaker: after this many consecutive
 	// failures the stage stays Failed permanently and its queue is drained
 	// into FaultDrops (0 takes the default of 8; negative means unlimited).
@@ -225,7 +216,6 @@ func DefaultConfig() Config {
 		GrantTimeout:       100 * time.Millisecond,
 		DrainTimeout:       500 * time.Millisecond,
 		RestartBackoff:     2 * time.Millisecond,
-		RestartBackoffMax:  500 * time.Millisecond,
 		MaxRestarts:        8,
 		JitterSeed:         1,
 	}
@@ -246,12 +236,6 @@ func (cfg Config) Validate() error {
 		return errors.New("dataplane: RingSize must be >= 0")
 	case cfg.BatchSize < 0:
 		return errors.New("dataplane: BatchSize must be >= 0")
-	case cfg.MoverBatchMin < 0:
-		return errors.New("dataplane: MoverBatchMin must be >= 0")
-	case cfg.MoverBatchMax < 0:
-		return errors.New("dataplane: MoverBatchMax must be >= 0")
-	case cfg.MoverBatchMin > 0 && cfg.MoverBatchMax > 0 && cfg.MoverBatchMin > cfg.MoverBatchMax:
-		return errors.New("dataplane: MoverBatchMin must not exceed MoverBatchMax")
 	case cfg.BackpressurePeriod < 0:
 		return errors.New("dataplane: BackpressurePeriod must be >= 0")
 	case cfg.WeightPeriod < 0:
@@ -305,8 +289,9 @@ type stage struct {
 	name string
 	// fn receives each dequeued chunk whole (see runBatch).
 	fn BatchHandler
-	// rx is a CAS-reserve multi-producer ring: injector goroutines and the
-	// mover enqueue concurrently without a lock; the stage's live worker is
+	// rx is a CAS-reserve multi-producer ring: movers (lane drains at a
+	// chain entry, stage sweeps mid-chain) enqueue concurrently without a
+	// lock; the stage's live worker is
 	// normally the single consumer (a detached worker incarnation may race
 	// it briefly, which the MPMC ring tolerates).
 	rx *ring.MPMC[*Packet]
@@ -342,16 +327,16 @@ type stage struct {
 
 	// Hot counters, grouped by writer with cache-line pads between groups
 	// (the ring.Pad contract): the stage's worker hammering processed can
-	// never invalidate the line carrying the injectors' arrivals, and
-	// vice versa. Within a group the writers are the same goroutine (or
-	// rare cold paths), so sharing a line is free.
+	// never invalidate the line carrying the movers' arrivals, and vice
+	// versa. Within a group the writers are the same goroutine (or rare
+	// cold paths), so sharing a line is free.
 	_          ring.Pad
 	processed  atomic.Uint64 // worker-written
 	busyNanos  atomic.Int64  // worker-written
 	nfDrops    atomic.Uint64 // worker-written: handler discards via Packet.Drop
 	_          ring.Pad
-	arrivals   atomic.Uint64 // injector/mover-written: offered load
-	drops      atomic.Uint64 // injector/mover-written: full-rx-ring losses
+	arrivals   atomic.Uint64 // mover-written: offered load
+	drops      atomic.Uint64 // mover-written: full-rx-ring losses
 	wasted     atomic.Uint64 // mover-written: processed here, died downstream
 	faultDrops atomic.Uint64 // supervisor-written: crash/stall/drain losses
 	_          ring.Pad
@@ -397,9 +382,9 @@ type Engine struct {
 	// per-tick health work entirely.
 	anyFaulty atomic.Bool
 
-	// stopped flips when Run's drain completes: later Inject/InjectBatch
-	// calls are rejected and counted in LateDrops instead of enqueueing
-	// into rings nobody will drain.
+	// stopped flips when Run's drain completes: later lane injects are
+	// rejected and counted in LateDrops instead of queueing behind movers
+	// that have exited.
 	stopped atomic.Bool
 
 	// liveWorkers counts running worker goroutines (wedged ones included
@@ -422,9 +407,9 @@ type Engine struct {
 	// coarseNanos is the engine clock: unix nanos refreshed once per
 	// scheduler iteration, grant and moved batch. Injection stamps and
 	// latency measurements read it instead of calling time.Now per packet.
-	// It is written by several planes (control loop, schedulers, movers,
-	// batch injectors), so it gets a cache line to itself: a clock store
-	// must not invalidate any counter's line.
+	// It is written by several planes (control loop, schedulers, movers),
+	// so it gets a cache line to itself: a clock store must not invalidate
+	// any counter's line.
 	_           ring.Pad
 	coarseNanos atomic.Int64
 	_           ring.Pad
@@ -439,7 +424,9 @@ type Engine struct {
 	// Packet.Drop; FaultDrops counts in-flight packets lost to stage
 	// crashes/stalls and failed-queue drains; ShutdownDrops counts
 	// accepted packets swept out of rings when Run winds down; LateDrops
-	// counts Inject attempts rejected after Run exited (pre-acceptance).
+	// counts lane injects rejected after Run exited and lane leftovers
+	// swept at shutdown; UnroutedDrops counts packets whose FlowID had no
+	// route when their lane was drained (both pre-acceptance).
 	//
 	// Cross-host classes: packets a remote stage hands to its link leave
 	// the local classes and settle in exactly one of RemoteDelivered (the
@@ -457,14 +444,16 @@ type Engine struct {
 	// LedgerSnapshot packages this identity as a checkable struct.
 	//
 	// Layout: the counters are grouped by their steady-state writers —
-	// producer-side (injector goroutines), delivery-side (movers), and
-	// worker/control — with a cache-line pad between groups so a producer
-	// bumping Injected never bounces the line the movers bump Delivered on.
-	Injected        atomic.Uint64 // producer-written
-	EntryDrops      atomic.Uint64 // producer-written
-	FaultEntryDrops atomic.Uint64 // producer-written
-	LateDrops       atomic.Uint64 // producer-written
-	RingDrops       atomic.Uint64 // producer- and mover-written (entry vs mid-chain)
+	// entry-side (a mover's lane drain, enqueueRouted), delivery-side (a
+	// mover's stage sweep), and worker/control — with a cache-line pad
+	// between groups so the shard draining lanes into Injected never
+	// bounces the line another shard bumps Delivered on.
+	Injected        atomic.Uint64 // lane-drain-written
+	EntryDrops      atomic.Uint64 // lane-drain-written
+	FaultEntryDrops atomic.Uint64 // lane-drain-written
+	UnroutedDrops   atomic.Uint64 // lane-drain-written
+	LateDrops       atomic.Uint64 // cold: post-stop injects, shutdown lane sweep
+	RingDrops       atomic.Uint64 // lane-drain- and sweep-written (entry vs mid-chain)
 	_               ring.Pad
 	Delivered       atomic.Uint64 // mover-written
 	// MidRingDrops is the mover-written subset of RingDrops: packets that
@@ -507,9 +496,9 @@ type Engine struct {
 	lanes  []*injectLane
 	laneRR int
 
-	// lateMu serializes the post-stop rescue sweeps (lateSweep, lane
-	// shutdown sweeps) so a producer racing Run's exit can't double-drain
-	// a ring against another late producer.
+	// lateMu serializes the post-stop lane sweeps (lateSweepLane and the
+	// shutdown sweepLanes) so a producer racing Run's exit can't
+	// double-drain a lane against another late producer.
 	lateMu sync.Mutex
 
 	// drainRC batches freelist recycling for the serial shutdown drain
@@ -562,21 +551,6 @@ func New(cfg Config) *Engine {
 	if cfg.BatchSize == 0 {
 		cfg.BatchSize = def.BatchSize
 	}
-	if cfg.MoverBatchMin == 0 {
-		cfg.MoverBatchMin = 32
-		if cfg.BatchSize < 32 {
-			cfg.MoverBatchMin = cfg.BatchSize
-		}
-	}
-	if cfg.MoverBatchMax == 0 {
-		cfg.MoverBatchMax = 256
-		if cfg.BatchSize > 256 {
-			cfg.MoverBatchMax = cfg.BatchSize
-		}
-	}
-	if cfg.MoverBatchMax < cfg.MoverBatchMin {
-		cfg.MoverBatchMax = cfg.MoverBatchMin
-	}
 	if cfg.HighFrac == 0 {
 		cfg.HighFrac = def.HighFrac
 	}
@@ -610,9 +584,6 @@ func New(cfg Config) *Engine {
 	if cfg.RestartBackoff <= 0 {
 		cfg.RestartBackoff = def.RestartBackoff
 	}
-	if cfg.RestartBackoffMax <= 0 {
-		cfg.RestartBackoffMax = def.RestartBackoffMax
-	}
 	if cfg.MaxRestarts == 0 {
 		cfg.MaxRestarts = def.MaxRestarts
 	}
@@ -644,24 +615,19 @@ func New(cfg Config) *Engine {
 	// TX shards exist from construction so RegisterMetrics can expose
 	// their counters and ProducerHandle can bind lanes to them before Run
 	// partitions the stages across them. The sweep scratch is sized for
-	// the adaptive batch ceiling; the starting batch is BatchSize clamped
-	// into the adaptive window.
-	startBatch := cfg.BatchSize
-	if startBatch < cfg.MoverBatchMin {
-		startBatch = cfg.MoverBatchMin
-	}
-	if startBatch > cfg.MoverBatchMax {
-		startBatch = cfg.MoverBatchMax
-	}
+	// the adaptive batch ceiling, max(256, BatchSize); the starting batch
+	// is BatchSize clamped into the adaptive window.
+	batchMax := max(256, cfg.BatchSize)
+	startBatch := min(max(cfg.BatchSize, moverBatchMin), batchMax)
 	e.movers = make([]*mover, cfg.Movers)
 	for i := range e.movers {
 		m := &mover{
 			id:     i,
-			buf:    make([]*Packet, cfg.MoverBatchMax),
+			buf:    make([]*Packet, batchMax),
 			wakeCh: make(chan struct{}, 1),
 			batch:  startBatch,
 			ewma:   float64(startBatch),
-			rc:     e.newRecycler(cfg.MoverBatchMax),
+			rc:     e.newRecycler(batchMax),
 		}
 		m.curBatch.Store(int32(startBatch))
 		m.lanes.Store(&[]*injectLane{})
@@ -808,183 +774,6 @@ func (e *Engine) SetSink(fn func([]*Packet)) {
 		panic("dataplane: SetSink after Run")
 	}
 	e.sink = fn
-}
-
-// Inject offers a packet from a producer goroutine. It reports false when
-// the packet was shed — by chain-entry backpressure, a fail-closed chain
-// whose stage is down, a full entry ring, or because Run has exited — or
-// when the flow has no route; the caller keeps ownership of a rejected
-// packet (retry it or PutPacket it). For bulk producers InjectBatch
-// amortizes the per-packet costs.
-func (e *Engine) Inject(p *Packet) bool {
-	if e.stopped.Load() {
-		e.LateDrops.Add(1)
-		return false
-	}
-	chainID, ok := e.routeOf(p.FlowID)
-	if !ok {
-		return false
-	}
-	p.ChainID = chainID
-	p.Hop = 0
-	entry := e.stages[e.chains[chainID][0]]
-	// Arrivals count offered load (attempts), not surviving enqueues:
-	// the rate-cost controller's λ must not collapse to the drain rate
-	// when a stage is overloaded or its chain is being shed.
-	entry.arrivals.Add(1)
-	if e.throttled[chainID].Load() {
-		e.EntryDrops.Add(1)
-		return false
-	}
-	if e.chainDown[chainID].Load() {
-		e.FaultEntryDrops.Add(1)
-		return false
-	}
-	p.enqueuedNanos = e.coarseNanos.Load()
-	// Spans attach before the enqueue publishes the packet: once it is in
-	// the ring a worker may already be reading it.
-	if e.rec != nil {
-		e.sampleInject(p)
-	}
-	if !entry.rx.Enqueue(p) {
-		e.RingDrops.Add(1)
-		entry.drops.Add(1)
-		return false
-	}
-	e.Injected.Add(1)
-	if e.stopped.Load() {
-		// Run exited between the first check and the enqueue: the final
-		// sweep may already have run, so sweep this ring ourselves. The
-		// packet counts as accepted-then-shutdown-dropped.
-		e.lateSweep(entry)
-	}
-	return true
-}
-
-// lateSweep rescues packets enqueued by an Inject/InjectBatch that raced
-// Run's stop gate: it drains the stage's rx ring into ShutdownDrops. The
-// empty-ring fast path makes the sweep effectively one-shot — once some
-// racer (or the final shutdown sweep) has drained the ring, later late
-// calls see it empty and pay two atomic loads instead of re-sweeping, so a
-// lingering producer can't spin on sweeps. A strict once-per-stage latch
-// would be unsound: a second racer can enqueue after the first racer's
-// sweep, and its packet still needs rescuing for conservation to hold. The
-// mutex serializes concurrent racers (sweepRing tolerates concurrency; the
-// lock just keeps the accounting ordering obvious and covers the lane
-// sweeps sharing it).
-func (e *Engine) lateSweep(s *stage) {
-	if s.rx.Len() == 0 {
-		return
-	}
-	e.lateMu.Lock()
-	e.sweepRing(s.rx, &e.ShutdownDrops)
-	e.lateMu.Unlock()
-}
-
-// InjectBatch offers every packet in ps, sampling the engine clock once and
-// publishing each run of same-flow packets with a single ring reservation.
-// It reports how many were accepted. Unlike Inject, the engine consumes the
-// whole slice: packets shed by backpressure, full rings or missing routes
-// are dropped and recycled, so the caller must not reuse any packet in ps
-// afterwards.
-func (e *Engine) InjectBatch(ps []*Packet) int {
-	if len(ps) == 0 {
-		return 0
-	}
-	if e.stopped.Load() {
-		// Run has exited: consume the slice per the InjectBatch contract,
-		// but account the attempts instead of enqueueing into rings nobody
-		// will ever drain.
-		e.LateDrops.Add(uint64(len(ps)))
-		for _, p := range ps {
-			e.PutPacket(p)
-		}
-		return 0
-	}
-	now := time.Now().UnixNano()
-	e.coarseNanos.Store(now)
-	// Sample the whole batch up front (one atomic add); packets the loop
-	// below sheds abort their spans when it recycles them.
-	if e.rec != nil {
-		e.sampleBatch(ps, now)
-	}
-	accepted := e.enqueueRouted(ps, now, nil)
-	if accepted > 0 {
-		e.Injected.Add(uint64(accepted))
-	}
-	if e.stopped.Load() && accepted > 0 {
-		// Run exited mid-batch: the final sweep may have missed what we
-		// just enqueued, so sweep the entry rings ourselves (lateSweep
-		// skips the untouched ones on the empty-ring fast path).
-		for _, s := range e.stages {
-			e.lateSweep(s)
-		}
-	}
-	return accepted
-}
-
-// enqueueRouted routes every packet in ps to its chain's entry ring,
-// publishing each run of same-flow packets with a single ring reservation:
-// one routing lookup, one counter update, one reservation per run. Packets
-// shed by backpressure, a down chain, a full entry ring or a missing route
-// are recycled (through rc when non-nil, so movers batch the freelist
-// returns) and charged to their drop classes. Reports how many packets were
-// accepted; the caller owns adding them to Injected. Shared by InjectBatch
-// and the mover-side inject-lane drain.
-func (e *Engine) enqueueRouted(ps []*Packet, now int64, rc *recycler) int {
-	drop := func(p *Packet) {
-		if rc != nil {
-			rc.put(p)
-		} else {
-			e.PutPacket(p)
-		}
-	}
-	accepted := 0
-	for i := 0; i < len(ps); {
-		p := ps[i]
-		chainID, ok := e.routeOf(p.FlowID)
-		if !ok {
-			drop(p)
-			i++
-			continue
-		}
-		entry := e.stages[e.chains[chainID][0]]
-		// Extend the run across packets sharing the flow: one routing
-		// lookup, one counter update, one ring reservation for the run.
-		j := i
-		for j < len(ps) && ps[j].FlowID == p.FlowID {
-			ps[j].ChainID = chainID
-			ps[j].Hop = 0
-			ps[j].enqueuedNanos = now
-			j++
-		}
-		run := ps[i:j]
-		entry.arrivals.Add(uint64(len(run)))
-		if e.throttled[chainID].Load() {
-			e.EntryDrops.Add(uint64(len(run)))
-			for _, q := range run {
-				drop(q)
-			}
-		} else if e.chainDown[chainID].Load() {
-			e.FaultEntryDrops.Add(uint64(len(run)))
-			for _, q := range run {
-				drop(q)
-			}
-		} else {
-			n := entry.rx.EnqueueBatch(run)
-			accepted += n
-			if n < len(run) {
-				d := uint64(len(run) - n)
-				e.RingDrops.Add(d)
-				entry.drops.Add(d)
-				for _, q := range run[n:] {
-					drop(q)
-				}
-			}
-		}
-		i = j
-	}
-	return accepted
 }
 
 // Stats snapshots every stage.
@@ -1755,7 +1544,9 @@ func (e *Engine) RegisterMetrics(reg *telemetry.Registry) {
 		"Accepted packets swept out of rings when Run wound down.",
 		e.ShutdownDrops.Load)
 	reg.CounterFunc("dataplane_late_drops_total",
-		"Inject attempts rejected because Run had exited.", e.LateDrops.Load)
+		"Lane injects rejected, and lane leftovers swept, because Run had exited.", e.LateDrops.Load)
+	reg.CounterFunc("dataplane_unrouted_drops_total",
+		"Packets dropped at lane drain because their flow had no route.", e.UnroutedDrops.Load)
 	reg.GaugeFunc("dataplane_watermark_packets",
 		"Backpressure high watermark in packets.",
 		func() float64 { return float64(e.highWater) }, telemetry.L("level", "high"))

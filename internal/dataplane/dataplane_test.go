@@ -3,7 +3,6 @@ package dataplane
 import (
 	"context"
 	"encoding/binary"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -48,27 +47,20 @@ func TestPipelineDeliversAll(t *testing.T) {
 			close(done)
 		}
 	})
+	h := e.ProducerHandle(0)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go e.Run(ctx)
 
-	// Closed loop: the in-flight window stays below b's ring, so nothing can
-	// drop mid-chain and every sequence number is delivered.
-	sent := 0
-	for sent < total {
-		if sent-int(got.Load()) >= 128 {
-			runtime.Gosched()
-			continue
-		}
+	// Closed loop: the in-flight window stays below b's ring and the
+	// watermark, so nothing is shed or dropped mid-chain and every sequence
+	// number is delivered.
+	for sent := 0; sent < total; sent++ {
+		pace(e, sent, 128)
 		p := e.GetPacket()
 		p.FlowID, p.Size = 7, 64
 		setSeq(p, sent)
-		if e.Inject(p) {
-			sent++
-		} else {
-			e.PutPacket(p)
-			runtime.Gosched()
-		}
+		offer(h, p)
 	}
 	select {
 	case <-done:
@@ -84,10 +76,19 @@ func TestPipelineDeliversAll(t *testing.T) {
 	}
 }
 
+// TestUnroutedFlowRejected: an engine with no chains at all (the flow table
+// was never created) still drains its lanes, and charges the packet nobody
+// can route to UnroutedDrops instead of losing it silently.
 func TestUnroutedFlowRejected(t *testing.T) {
 	e := New(Config{})
-	if e.Inject(&Packet{FlowID: 99}) {
-		t.Fatal("unrouted inject accepted")
+	h := e.ProducerHandle(0)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go e.Run(ctx)
+	offer(h, &Packet{FlowID: 99})
+	settle(t, e, 1)
+	if l := e.LedgerSnapshot(); l.UnroutedDrops != 1 || l.Injected != 0 {
+		t.Fatalf("unrouted packet not charged: %+v", l)
 	}
 }
 
@@ -119,9 +120,14 @@ func TestWeightedSharesSkewThroughput(t *testing.T) {
 	cb, _ := e.AddChain(b)
 	e.MapFlow(0, ca)
 	e.MapFlow(1, cb)
-	for i := 0; i < 3000; i++ {
-		e.Inject(&Packet{FlowID: 0})
-		e.Inject(&Packet{FlowID: 1})
+	// One lane per chain, filled before Run: the movers empty both into the
+	// entry rings (3000 < the 3276-packet high watermark) as soon as it
+	// starts.
+	for flow := 0; flow < 2; flow++ {
+		h := e.ProducerHandle(0)
+		for i := 0; i < 3000; i++ {
+			offer(h, &Packet{FlowID: flow})
+		}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	go e.Run(ctx)
@@ -156,12 +162,15 @@ func TestAutoWeightsEqualizeUnequalCosts(t *testing.T) {
 	cb, _ := e.AddChain(b)
 	e.MapFlow(0, ca)
 	e.MapFlow(1, cb)
+	h := e.ProducerHandle(0)
 	ctx, cancel := context.WithCancel(context.Background())
 	go e.Run(ctx)
+	// Equal offered load on both chains; what the entries shed is the
+	// ledger's business, not the producer's.
 	deadline := time.Now().Add(time.Second)
 	for time.Now().Before(deadline) {
-		e.Inject(&Packet{FlowID: 0})
-		e.Inject(&Packet{FlowID: 1})
+		offer(h, &Packet{FlowID: 0})
+		offer(h, &Packet{FlowID: 1})
 	}
 	cancel()
 	st := e.Stats()
@@ -198,18 +207,15 @@ func TestBackpressureShedsAtEntry(t *testing.T) {
 	slow := e.AddStage("slow", 1024, func(p *Packet) { spin(200 * time.Microsecond) })
 	ch, _ := e.AddChain(fast, slow)
 	e.MapFlow(0, ch)
+	h := e.ProducerHandle(0)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go e.Run(ctx)
+	// offer yields while the lane is full, so on a single-CPU box
+	// (GOMAXPROCS=1, -race) the producer cannot starve the control loop.
 	deadline := time.Now().Add(400 * time.Millisecond)
 	for time.Now().Before(deadline) {
-		if !e.Inject(&Packet{FlowID: 0}) {
-			// Yield on rejection: on a single-CPU box (GOMAXPROCS=1,
-			// -race) an unyielding producer loop can starve the control
-			// loop into lockstep, bursting only while the throttle is
-			// clear and never observing it set.
-			runtime.Gosched()
-		}
+		offer(h, &Packet{FlowID: 0})
 	}
 	if e.EntryDrops.Load() == 0 {
 		t.Fatal("overloaded chain never shed at entry")
@@ -234,6 +240,7 @@ func TestThrottleClears(t *testing.T) {
 	slow := e.AddStage("slow", 1024, func(p *Packet) { spin(50 * time.Microsecond) })
 	ch, _ := e.AddChain(slow)
 	e.MapFlow(0, ch)
+	h := e.ProducerHandle(0)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go e.Run(ctx)
@@ -242,7 +249,7 @@ func TestThrottleClears(t *testing.T) {
 	// rather than polling the instantaneous state.
 	deadline := time.Now().Add(300 * time.Millisecond)
 	for time.Now().Before(deadline) && e.ThrottleEvents.Load() == 0 {
-		e.Inject(&Packet{FlowID: 0})
+		offer(h, &Packet{FlowID: 0})
 	}
 	if e.ThrottleEvents.Load() == 0 {
 		t.Fatal("never throttled under flood")
@@ -258,13 +265,14 @@ func TestThrottleClears(t *testing.T) {
 }
 
 // TestInjectAccountingReconciles audits drop accounting across every path a
-// packet can take: shed at entry (throttle), dropped at the entry ring
-// (Inject), dropped mid-chain (mover), or delivered. For a single chain a→b
-// the counters must reconcile exactly once the pipeline quiesces:
+// packet can take once a lane accepted it: shed at entry (throttle), dropped
+// at the full entry ring, dropped mid-chain (mover), or delivered. For a
+// single chain a→b the counters must reconcile exactly once the pipeline
+// quiesces:
 //
-//	attempts           == arrivals(a)
-//	rejected           == EntryDrops + drops(a)
-//	accepted           == Injected == Delivered + drops(b)
+//	offered            == arrivals(a)
+//	offered - Injected == EntryDrops + drops(a)
+//	Injected           == Delivered + drops(b)
 //	processed(a)       == arrivals(b) == processed(b) + drops(b)
 //	processed(b)       == Delivered
 //	wasted(a)          == drops(b),  wasted(b) == 0
@@ -279,24 +287,23 @@ func TestInjectAccountingReconciles(t *testing.T) {
 	}
 	e.MapFlow(0, ch)
 	e.SetSink(e.PutPacketBatch)
+	h := e.ProducerHandle(0)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go e.Run(ctx)
 
-	var attempts, rejected uint64
+	offered := 0
 	deadline := time.Now().Add(500 * time.Millisecond)
 	for time.Now().Before(deadline) {
 		p := e.GetPacket()
 		p.FlowID = 0
 		p.Size = 64
-		attempts++
-		if !e.Inject(p) {
-			rejected++
-			e.PutPacket(p)
-		}
+		offer(h, p)
+		offered++
 	}
+	// Quiesce: every offered packet must end up shed, dropped or delivered.
+	settle(t, e, offered)
 
-	// Quiesce: all accepted packets must end up delivered or dropped.
 	stats := func(name string) StageStats {
 		for _, s := range e.Stats() {
 			if s.Name == name {
@@ -306,24 +313,13 @@ func TestInjectAccountingReconciles(t *testing.T) {
 		t.Fatalf("stage %s missing", name)
 		return StageStats{}
 	}
-	deadline = time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if e.Injected.Load() == e.Delivered.Load()+stats("b").QueueDrops {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-
 	sa, sb := stats("a"), stats("b")
-	accepted := attempts - rejected
-	if got := e.Injected.Load(); got != accepted {
-		t.Errorf("Injected = %d, want accepted = %d", got, accepted)
+	accepted := e.Injected.Load()
+	if got := sa.QueueDrops + e.EntryDrops.Load(); got != uint64(offered)-accepted {
+		t.Errorf("EntryDrops+drops(a) = %d, want offered-Injected = %d", got, uint64(offered)-accepted)
 	}
-	if got := sa.QueueDrops + e.EntryDrops.Load(); got != rejected {
-		t.Errorf("EntryDrops+drops(a) = %d, want rejected = %d", got, rejected)
-	}
-	if sa.Arrivals != attempts {
-		t.Errorf("arrivals(a) = %d, want attempts = %d", sa.Arrivals, attempts)
+	if sa.Arrivals != uint64(offered) {
+		t.Errorf("arrivals(a) = %d, want offered = %d", sa.Arrivals, offered)
 	}
 	if sb.Arrivals != sa.Processed {
 		t.Errorf("arrivals(b) = %d, want processed(a) = %d", sb.Arrivals, sa.Processed)
@@ -336,7 +332,7 @@ func TestInjectAccountingReconciles(t *testing.T) {
 		t.Errorf("processed(b) = %d, want delivered = %d", sb.Processed, e.Delivered.Load())
 	}
 	if got := e.Delivered.Load() + sb.QueueDrops; got != accepted {
-		t.Errorf("delivered+drops(b) = %d, want accepted = %d", got, accepted)
+		t.Errorf("delivered+drops(b) = %d, want Injected = %d", got, accepted)
 	}
 	if sa.Wasted != sb.QueueDrops {
 		t.Errorf("wasted(a) = %d, want drops(b) = %d", sa.Wasted, sb.QueueDrops)
@@ -393,8 +389,9 @@ func TestRunShutsDownCleanly(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() { e.Run(ctx); close(done) }()
+	h := e.ProducerHandle(0)
 	for i := 0; i < 100; i++ {
-		e.Inject(&Packet{FlowID: 0})
+		offer(h, &Packet{FlowID: 0})
 	}
 	time.Sleep(20 * time.Millisecond)
 	cancel()
@@ -430,17 +427,10 @@ func TestMultiCoreChainsProgress(t *testing.T) {
 	go func() { e.Run(ctx); close(done) }()
 	// Closed loop: cap in-flight packets well below the mid-chain ring's
 	// capacity so a burst can't overflow it and drop instead of delivering.
-	sent := 0
-	for sent < 500 {
-		if sent-int(got.Load()) >= 128 {
-			runtime.Gosched()
-			continue
-		}
-		if e.Inject(&Packet{FlowID: 0}) {
-			sent++
-		} else {
-			runtime.Gosched()
-		}
+	h := e.ProducerHandle(0)
+	for sent := 0; sent < 500; sent++ {
+		pace(e, sent, 128)
+		offer(h, &Packet{FlowID: 0})
 	}
 	select {
 	case <-recv:
@@ -481,12 +471,9 @@ func TestLatencyStats(t *testing.T) {
 	defer cancel()
 	done := make(chan struct{})
 	go func() { e.Run(ctx); close(done) }()
-	for i := 0; i < 20; {
-		if e.Inject(&Packet{FlowID: 0}) {
-			i++
-		} else {
-			runtime.Gosched()
-		}
+	h := e.ProducerHandle(0)
+	for i := 0; i < 20; i++ {
+		offer(h, &Packet{FlowID: 0})
 	}
 	select {
 	case <-got:
@@ -528,15 +515,11 @@ func TestSinkCapturesDeliveredFrames(t *testing.T) {
 	defer cancel()
 	done := make(chan struct{})
 	go func() { e.Run(ctx); close(done) }()
-	for i := 0; i < total; {
+	h := e.ProducerHandle(0)
+	for i := 0; i < total; i++ {
 		p := e.GetPacket()
 		setSeq(p, i)
-		if e.Inject(p) {
-			i++
-		} else {
-			e.PutPacket(p)
-			runtime.Gosched()
-		}
+		offer(h, p)
 	}
 	select {
 	case <-seen:

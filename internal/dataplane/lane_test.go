@@ -10,16 +10,6 @@ import (
 	"time"
 )
 
-// laneOutcomes sums every terminal class a lane-accepted packet can reach:
-// delivery plus each drop ledger, whether the shed happened at drain time
-// (entry classes), mid-chain, or at shutdown. For any quiesced engine,
-// lane-accepted == delivered + laneOutcomes-drops.
-func laneDrops(e *Engine) uint64 {
-	return e.EntryDrops.Load() + e.FaultEntryDrops.Load() + e.RingDrops.Load() +
-		e.LateDrops.Load() + e.NFDrops.Load() + e.FaultDrops.Load() +
-		e.ShutdownDrops.Load()
-}
-
 // TestLaneDeliversInOrder is the basic lane path: one registered producer,
 // one chain; deliveries are a strictly increasing subsequence of the
 // injected sequence (drain-time shedding may thin it under load, so
@@ -48,30 +38,23 @@ func TestLaneDeliversInOrder(t *testing.T) {
 	go func() { e.Run(ctx); close(runDone) }()
 
 	const total = 5000
-	sent := 0
-	for sent < total {
+	for sent := 0; sent < total; sent++ {
 		p := e.GetPacket()
 		p.FlowID = 1
 		setSeq(p, sent)
-		if h.Inject(p) {
-			sent++
-		} else {
-			e.PutPacket(p)
-			runtime.Gosched()
-		}
+		offer(h, p)
 	}
-	// Quiesce (lanes drained, chain flushed) before stopping.
-	deadline := time.Now().Add(10 * time.Second)
-	for delivered.Load()+laneDrops(e) < total && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	// Quiesce (lane drained, chain flushed — every accepted packet has an
+	// outcome in the ledger, which is the conservation check) before
+	// stopping.
+	settle(t, e, total)
 	cancel()
 	<-runDone
 	if reorders > 0 {
 		t.Fatalf("%d per-producer FIFO violations on the lane path", reorders)
 	}
-	if got := delivered.Load() + laneDrops(e); got != total {
-		t.Fatalf("conservation: accepted %d, outcomes %d (delivered %d)", total, got, delivered.Load())
+	if l := e.LedgerSnapshot(); delivered.Load() != l.Delivered {
+		t.Fatalf("sink saw %d deliveries, ledger %+v", delivered.Load(), l)
 	}
 	if delivered.Load() == 0 {
 		t.Fatal("nothing delivered through the lane")
@@ -132,29 +115,16 @@ func TestLanePerProducerFIFO(t *testing.T) {
 			h := e.ProducerHandle(128)
 			defer h.Close()
 			cache := e.NewPacketCache(64)
-			sent := 0
-			for sent < perProducer {
+			for sent := 0; sent < perProducer; sent++ {
 				p := cache.Get()
 				p.FlowID = f
 				setSeq(p, sent)
-				if h.Inject(p) {
-					sent++
-				} else {
-					cache.Put(p)
-					runtime.Gosched()
-				}
+				offer(h, p)
 			}
 		}(f)
 	}
 	wg.Wait()
-	const total = producers * perProducer
-	deadline := time.Now().Add(10 * time.Second)
-	for delivered.Load()+laneDrops(e) < total && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if got := delivered.Load() + laneDrops(e); got != total {
-		t.Fatalf("conservation: accepted %d, outcomes %d (delivered %d)", total, got, delivered.Load())
-	}
+	settle(t, e, producers*perProducer)
 	if delivered.Load() == 0 {
 		t.Fatal("nothing delivered")
 	}
@@ -167,9 +137,11 @@ func TestLanePerProducerFIFO(t *testing.T) {
 // continuously while the engine runs, with backpressure-inducing load, and
 // checks exact producer-side conservation after shutdown: every packet a
 // lane accepted is either Injected or charged to a pre-acceptance drop
-// class (entry/fault-entry shedding happens at drain time on the lane
-// path; LateDrops absorbs lane leftovers at shutdown), and the engine-side
-// invariant reconciles as usual.
+// class (entry/fault-entry shedding and the no-route drop happen at drain
+// time; LateDrops absorbs lane leftovers at shutdown), and the engine-side
+// invariant reconciles as usual. One packet in sixteen carries a FlowID
+// nobody mapped, so the identity is checked for any input, not just routed
+// ones.
 func TestLaneConservationChurn(t *testing.T) {
 	e := New(Config{RingSize: 128, Movers: 2, BatchSize: 16, WeightPeriod: 0,
 		HighFrac: 0.5, LowFrac: 0.25, DrainTimeout: 2 * time.Second})
@@ -207,6 +179,9 @@ func TestLaneConservationChurn(t *testing.T) {
 				for i := 0; i < burst && sent < perProducer; {
 					p := e.GetPacket()
 					p.FlowID = f
+					if sent%16 == 15 {
+						p.FlowID = 1000 + f // no route
+					}
 					if h.Inject(p) {
 						accepted.Add(1)
 						sent++
@@ -226,21 +201,18 @@ func TestLaneConservationChurn(t *testing.T) {
 	cancel()
 	<-runDone
 
-	inj := e.Injected.Load()
-	entry := e.EntryDrops.Load()
-	late := e.LateDrops.Load()
-	fentry := e.FaultEntryDrops.Load()
-	// RingDrops on a 1-stage chain are all entry-side (charged against
-	// lane-accepted packets); there is no mid-chain ring.
-	ringDrops := e.RingDrops.Load()
-	if got := inj + entry + fentry + ringDrops + late; got != accepted.Load() {
-		t.Fatalf("lane-accepted packets unaccounted: accepted=%d injected=%d entry=%d faultEntry=%d ring=%d late=%d (sum %d)",
-			accepted.Load(), inj, entry, fentry, ringDrops, late, got)
+	l := e.LedgerSnapshot()
+	if got := l.Injected + preAccepted(l); got != accepted.Load() {
+		t.Fatalf("lane-accepted packets unaccounted: accepted=%d, injected+pre-acceptance=%d, ledger %+v",
+			accepted.Load(), got, l)
 	}
-	outcome := delivered.Load() + e.NFDrops.Load() + e.FaultDrops.Load() +
-		e.ShutdownDrops.Load()
-	if inj != outcome {
-		t.Fatalf("engine invariant broken: injected=%d outcomes=%d", inj, outcome)
+	if want := uint64(producers * perProducer / 16); l.UnroutedDrops == 0 || l.UnroutedDrops > want {
+		t.Fatalf("UnroutedDrops = %d, want in (0, %d] (lane leftovers at shutdown are LateDrops)",
+			l.UnroutedDrops, want)
+	}
+	if l.Residual() != 0 || l.Delivered != delivered.Load() {
+		t.Fatalf("engine invariant broken: residual=%d sink=%d ledger %+v",
+			l.Residual(), delivered.Load(), l)
 	}
 	if len(e.lanes) != 0 {
 		t.Fatalf("%d lanes leaked past shutdown retirement", len(e.lanes))
@@ -376,11 +348,11 @@ func TestLaneAfterStopCountsLate(t *testing.T) {
 	}
 }
 
-// TestAdaptiveBatchBounds checks the adaptive mover batch stays inside the
-// configured window and grows under sustained backlog.
+// TestAdaptiveBatchBounds checks the adaptive mover batch stays inside its
+// window — moverBatchMin to max(256, BatchSize) — and grows under sustained
+// backlog.
 func TestAdaptiveBatchBounds(t *testing.T) {
-	e := New(Config{RingSize: 4096, MoverBatchMin: 16, MoverBatchMax: 128,
-		BatchSize: 64, WeightPeriod: 0})
+	e := New(Config{RingSize: 4096, BatchSize: 64, WeightPeriod: 0})
 	a := e.AddStage("a", 1024, func(p *Packet) {})
 	ch, _ := e.AddChain(a)
 	e.MapFlow(1, ch)
@@ -410,8 +382,8 @@ func TestAdaptiveBatchBounds(t *testing.T) {
 		copy(batch, batch[n:])
 		batch = batch[:len(batch)-n]
 		for _, st := range e.MoverStats() {
-			if st.Batch < 16 || st.Batch > 128 {
-				t.Fatalf("adaptive batch %d escaped [16, 128]", st.Batch)
+			if st.Batch < moverBatchMin || st.Batch > 256 {
+				t.Fatalf("adaptive batch %d escaped [%d, 256]", st.Batch, moverBatchMin)
 			}
 			if st.Batch > 64 {
 				grew = true
@@ -423,5 +395,122 @@ func TestAdaptiveBatchBounds(t *testing.T) {
 	}
 	if !grew {
 		t.Log("adaptive batch never exceeded its start; acceptable on an unloaded run, but unusual")
+	}
+}
+
+// TestLanePreAcceptanceClasses is the replacement for synchronous shed
+// feedback: for each way a lane-accepted packet can fail to enter its chain,
+// offer n packets through a handle and require that exactly one ledger class
+// moved, by exactly n, that every descriptor is back in the freelist, and
+// that the post-acceptance identity still closes after Run returns.
+func TestLanePreAcceptanceClasses(t *testing.T) {
+	const n = 100
+	type env struct {
+		e      *Engine
+		h      *ProducerHandle
+		chain  int
+		gate   chan struct{} // the stage's handler blocks until it closes
+		inside chan struct{} // signalled when the handler first blocks
+		cancel context.CancelFunc
+		done   chan struct{}
+	}
+	// routed counts the lane-accepted packets the mover has put through the
+	// chain entry, whatever the entry decided.
+	routed := func(l Ledger) uint64 { return l.Injected + preAccepted(l) }
+	cases := []struct {
+		name string
+		flow int // FlowID offered; 0 is the routed one
+		arm  func(t *testing.T, v *env)
+		bump func(l *Ledger)
+	}{
+		{"throttled chain", 0,
+			func(t *testing.T, v *env) { v.e.throttled[v.chain].Store(true) },
+			func(l *Ledger) { l.EntryDrops += n }},
+		{"fail-closed chain down", 0,
+			func(t *testing.T, v *env) { v.e.chainDown[v.chain].Store(true) },
+			func(l *Ledger) { l.FaultEntryDrops += n }},
+		{"full entry ring", 0,
+			func(t *testing.T, v *env) {
+				// Park the worker inside the handler (gate open) holding
+				// one packet, so from here the entry ring only fills:
+				// offer until it overflows, then wait for the mover to
+				// have routed everything the lane took.
+				offer(v.h, v.e.GetPacket())
+				<-v.inside
+				filler := 1
+				for v.e.RingDrops.Load() == 0 {
+					offer(v.h, v.e.GetPacket())
+					filler++
+				}
+				waitFor(t, 5*time.Second, "filler routed", func() bool {
+					return routed(v.e.LedgerSnapshot()) == uint64(filler)
+				})
+			},
+			func(l *Ledger) { l.RingDrops += n }},
+		{"unrouted flow", 99,
+			func(t *testing.T, v *env) {},
+			func(l *Ledger) { l.UnroutedDrops += n }},
+		{"inject after Run returned", 0,
+			func(t *testing.T, v *env) { v.cancel(); <-v.done },
+			func(l *Ledger) { l.LateDrops += n }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// The control loop never runs the watermark machine (hour-long
+			// period) and never detaches the blocked handler, so the armed
+			// state holds for the whole case.
+			e := New(Config{RingSize: 64, BatchSize: 8, FrameSize: 8, WeightPeriod: 0,
+				BackpressurePeriod: time.Hour, GrantTimeout: -1, DrainTimeout: time.Second})
+			v := &env{e: e, gate: make(chan struct{}), inside: make(chan struct{}, 1),
+				done: make(chan struct{})}
+			s := e.AddStage("nf", 1024, func(*Packet) {
+				select {
+				case v.inside <- struct{}{}:
+				default:
+				}
+				<-v.gate
+			})
+			v.chain, _ = e.AddChain(s)
+			e.MapFlow(0, v.chain)
+			e.SetSink(e.PutPacketBatch)
+			v.h = e.ProducerHandle(0)
+			ctx, cancel := context.WithCancel(context.Background())
+			v.cancel = cancel
+			go func() { e.Run(ctx); close(v.done) }()
+			if tc.name != "full entry ring" {
+				close(v.gate)
+			}
+			tc.arm(t, v)
+
+			want := e.LedgerSnapshot()
+			tc.bump(&want)
+			for i := 0; i < n; i++ {
+				p := e.GetPacket()
+				p.FlowID = tc.flow
+				if !offer(v.h, p) {
+					e.PutPacket(p) // only after Run returned: still ours
+				}
+			}
+			waitFor(t, 5*time.Second, "offered packets routed", func() bool {
+				return routed(e.LedgerSnapshot()) == routed(want)
+			})
+			if got := e.LedgerSnapshot(); got != want {
+				t.Errorf("ledger after %d offers:\n got %+v\nwant %+v", n, got, want)
+			}
+			// Every arena descriptor not parked behind the blocked handler
+			// (the residual) is back in the freelist.
+			waitFor(t, 5*time.Second, "shed packets recycled", func() bool {
+				return e.free.Len() == e.cfg.PoolSize-int(want.Residual())
+			})
+
+			if tc.name == "full entry ring" {
+				close(v.gate)
+			}
+			cancel()
+			<-v.done
+			if l := e.LedgerSnapshot(); l.Residual() != 0 {
+				t.Errorf("residual %d after Run, ledger %+v", l.Residual(), l)
+			}
+		})
 	}
 }

@@ -1,34 +1,38 @@
 package dataplane
 
-// Per-producer inject lanes: the contention-free entry path.
+// Inject lanes: the engine's one ingress.
 //
-// Engine.Inject and Engine.InjectBatch enqueue straight into the chain
-// entry stage's shared MPMC rx ring — correct from any goroutine, but every
-// producer CASes against every other producer (and the movers forwarding
-// mid-chain traffic) on the same reservation index. The paper's NF Manager
-// avoids exactly this by giving the RX path its own threads and per-NF
-// rings; inject lanes are that design's Go shape:
+// The paper's NF Manager has a single way in: RX threads take packets off
+// the NIC, look up the chain, and apply selective early discard at the chain
+// entry. Inject lanes are that design's Go shape, and there is no other
+// entry path:
 //
 //   - A producer registers with Engine.ProducerHandle and receives a
 //     private SPSC lane. Lane enqueues are single-producer ring writes —
-//     zero CAS, zero contention with other producers.
+//     zero CAS, zero contention with other producers or with the movers
+//     forwarding mid-chain traffic.
 //   - Each lane is bound (round-robin at registration) to one TX shard,
-//     which drains it during its sweeps and routes the packets into entry
-//     rings with the same batched, run-detecting path InjectBatch uses
-//     (enqueueRouted). One drainer per lane preserves per-producer FIFO
-//     end to end: SPSC lane order → single mover → entry ring reservation
-//     order.
-//   - The shared Engine.Inject/InjectBatch path remains as the fallback
-//     lane for anonymous injectors — code that cannot register, or that
-//     needs the synchronous shed feedback (Inject's false return reports
-//     backpressure at call time; a lane defers routing to drain time).
+//     which drains it during its sweeps and hands each drained batch to
+//     enqueueRouted — the only code that routes a packet, counts its
+//     arrival, consults the throttle and fail-closed gates, publishes into
+//     an entry ring, and charges Injected or a pre-acceptance drop class.
+//     One drainer per lane preserves per-producer FIFO end to end: SPSC
+//     lane order → single mover → entry ring reservation order.
 //
-// Deferred routing moves the shed/accounting decisions from the producer's
-// call site to the mover's drain site, which is exactly the NIC-RX model:
-// acceptance into the lane only promises the packet will be *offered* to
-// the chain; backpressure, fail-closed gates and entry-ring overflow are
-// applied (and counted) when the mover drains it. Producers that need
-// per-packet shed feedback should stay on Engine.Inject.
+// Deferred routing is the contract: acceptance into a lane only promises
+// the packet will be *offered* to its chain. Backpressure, fail-closed
+// gates, entry-ring overflow and a missing route are applied (and counted)
+// when the mover drains the lane, on the mover's goroutine — the NIC-RX
+// model — so ProducerHandle.Inject's return value says "the lane had room",
+// never "the chain took it". Outcomes are read from LedgerSnapshot: once a
+// lane is drained, every packet it accepted is in exactly one of
+//
+//	Injected, EntryDrops, FaultEntryDrops, RingDrops − MidRingDrops,
+//	UnroutedDrops, LateDrops
+//
+// and the Injected ones go on to the post-acceptance identity (ledger.go).
+// Producers pace against that ledger (offered minus outcomes), not against
+// a return value.
 //
 // Lifecycle: Close marks the lane; the owning mover drains what remains,
 // then unlinks it (COW under Engine.laneMu). Lanes still holding packets
@@ -88,7 +92,7 @@ func (e *Engine) ProducerHandle(capacity int) *ProducerHandle {
 // backpressure), the handle is closed, or Run has exited; the caller keeps
 // ownership of a rejected packet. Acceptance means the packet will be
 // offered to its chain at the mover's next drain; chain-entry shedding is
-// applied and counted there, not here (see the package comment in this
+// applied and counted there, not here (see the header comment in this
 // file).
 func (h *ProducerHandle) Inject(p *Packet) bool {
 	if h.lane.closed.Load() {
@@ -111,10 +115,9 @@ func (h *ProducerHandle) Inject(p *Packet) bool {
 }
 
 // InjectBatch offers packets through the lane with one ring publish,
-// reporting how many were accepted. Unlike Engine.InjectBatch, the caller
-// KEEPS ownership of the rejected tail ps[n:] — retry it or recycle it —
-// because a lane-full condition is transient per-producer backpressure, not
-// a routing verdict.
+// reporting how many were accepted. The caller KEEPS ownership of the
+// rejected tail ps[n:] — retry it or recycle it — because a lane-full
+// condition is transient per-producer backpressure, not a routing verdict.
 func (h *ProducerHandle) InjectBatch(ps []*Packet) int {
 	if len(ps) == 0 || h.lane.closed.Load() {
 		return 0
@@ -177,8 +180,8 @@ func (e *Engine) lateSweepLane(ln *injectLane) {
 
 // drainLanes is the mover-side half of the lane path: drain every bound
 // lane in round-robin order (rotating the start index each sweep so one
-// saturated lane cannot starve the others), route the packets into entry
-// rings via enqueueRouted, and retire closed lanes once empty. Returns how
+// saturated lane cannot starve the others), hand the packets to
+// enqueueRouted, and retire closed lanes once empty. Returns how
 // many packets were drained. Runs only on the owning mover's goroutine
 // (or, after the movers exit, on Run's shutdown goroutine), preserving the
 // lanes' single-consumer contract.
@@ -205,12 +208,11 @@ func (e *Engine) drainLanes(m *mover) int {
 			if e.rec != nil {
 				// Spans attach at drain time — the moment the packet
 				// enters the engine proper — so lane residence shows up
-				// as pre-inject time, not chain latency.
+				// as pre-inject time, not chain latency. Packets the
+				// entry sheds abort their spans when recycled.
 				e.sampleBatch(m.buf[:k], now)
 			}
-			if n := e.enqueueRouted(m.buf[:k], now, m.rc); n > 0 {
-				e.Injected.Add(uint64(n))
-			}
+			e.enqueueRouted(m.buf[:k], now, m.rc)
 		}
 		if ln.closed.Load() && ln.ring.Len() == 0 {
 			retired = true
@@ -225,6 +227,68 @@ func (e *Engine) drainLanes(m *mover) int {
 		e.retireLanes(m)
 	}
 	return moved
+}
+
+// enqueueRouted is the chain entry — the one place a packet is routed, its
+// arrival counted, the throttle and fail-closed gates consulted, and
+// Injected or a pre-acceptance drop class charged. It publishes each run of
+// same-flow packets with a single ring reservation: one routing lookup, one
+// counter update, one reservation per run. Packets that do not enter — shed
+// by backpressure, a down chain, a full entry ring or a missing route — are
+// recycled through rc, the draining mover's batcher. Called only from
+// drainLanes.
+func (e *Engine) enqueueRouted(ps []*Packet, now int64, rc *recycler) {
+	var accepted, unrouted uint64
+	for i := 0; i < len(ps); {
+		p := ps[i]
+		chainID, ok := e.routeOf(p.FlowID)
+		if !ok {
+			unrouted++
+			rc.put(p)
+			i++
+			continue
+		}
+		entry := e.stages[e.chains[chainID][0]]
+		// Extend the run across packets sharing the flow: one routing
+		// lookup, one counter update, one ring reservation for the run.
+		j := i
+		for j < len(ps) && ps[j].FlowID == p.FlowID {
+			ps[j].ChainID = chainID
+			ps[j].Hop = 0
+			ps[j].enqueuedNanos = now
+			j++
+		}
+		run := ps[i:j]
+		// Arrivals count offered load (attempts), not surviving enqueues:
+		// the rate-cost controller's λ must not collapse to the drain rate
+		// when a stage is overloaded or its chain is being shed.
+		entry.arrivals.Add(uint64(len(run)))
+		shed := run
+		switch {
+		case e.throttled[chainID].Load():
+			e.EntryDrops.Add(uint64(len(run)))
+		case e.chainDown[chainID].Load():
+			e.FaultEntryDrops.Add(uint64(len(run)))
+		default:
+			n := entry.rx.EnqueueBatch(run)
+			accepted += uint64(n)
+			shed = run[n:]
+			if d := uint64(len(shed)); d > 0 {
+				e.RingDrops.Add(d)
+				entry.drops.Add(d)
+			}
+		}
+		for _, q := range shed {
+			rc.put(q)
+		}
+		i = j
+	}
+	if accepted > 0 {
+		e.Injected.Add(accepted)
+	}
+	if unrouted > 0 {
+		e.UnroutedDrops.Add(unrouted)
+	}
 }
 
 // retireLanes unlinks every closed-and-empty lane from the mover's COW

@@ -9,9 +9,11 @@ package dataplane
 //	Injected == Delivered + MidRingDrops + NFDrops + FaultDrops
 //	          + ShutdownDrops + RemoteDelivered + RemoteDrops
 //
-// The pre-acceptance classes (EntryDrops, FaultEntryDrops, LateDrops, and the
-// entry-ring portion of RingDrops) are reported for completeness but are not
-// part of the identity: those packets were never counted Injected.
+// The pre-acceptance classes (EntryDrops, FaultEntryDrops, UnroutedDrops,
+// LateDrops, and the entry-ring portion of RingDrops) are not part of the
+// identity — those packets were never counted Injected — but they close the
+// producer-side one: once a lane is drained, every packet it accepted is
+// either Injected or in exactly one of them (see lanes.go).
 type Ledger struct {
 	Injected        uint64 `json:"injected"`
 	Delivered       uint64 `json:"delivered"`
@@ -26,6 +28,7 @@ type Ledger struct {
 	EntryDrops      uint64 `json:"entry_drops"`
 	FaultEntryDrops uint64 `json:"fault_entry_drops"`
 	LateDrops       uint64 `json:"late_drops"`
+	UnroutedDrops   uint64 `json:"unrouted_drops"`
 	RingDrops       uint64 `json:"ring_drops"`
 	ThrottleEvents  uint64 `json:"throttle_events"`
 }
@@ -46,6 +49,7 @@ func (e *Engine) LedgerSnapshot() Ledger {
 		EntryDrops:      e.EntryDrops.Load(),
 		FaultEntryDrops: e.FaultEntryDrops.Load(),
 		LateDrops:       e.LateDrops.Load(),
+		UnroutedDrops:   e.UnroutedDrops.Load(),
 		RingDrops:       e.RingDrops.Load(),
 		ThrottleEvents:  e.ThrottleEvents.Load(),
 	}

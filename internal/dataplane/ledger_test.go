@@ -2,12 +2,13 @@ package dataplane
 
 import (
 	"context"
-	"runtime"
 	"testing"
 	"time"
 )
 
-// TestLedgerCleanRunCloses: with no faults and paced injection, the ledger
+// TestLedgerCleanRunCloses: with no faults and injection paced against the
+// ledger (at most half a ring outstanding, so neither the watermark nor the
+// mid-chain ring is ever reached, on any number of CPUs), the ledger
 // identity holds exactly after Run returns and every class except Delivered
 // is zero.
 func TestLedgerCleanRunCloses(t *testing.T) {
@@ -20,29 +21,20 @@ func TestLedgerCleanRunCloses(t *testing.T) {
 	}
 	e.MapFlow(0, ch)
 	e.SetSink(func(ps []*Packet) { e.PutPacketBatch(ps) })
+	h := e.ProducerHandle(0)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() { e.Run(ctx); close(done) }()
 
 	const total = 5000
-	for sent := 0; sent < total; {
+	for sent := 0; sent < total; sent++ {
+		pace(e, sent, 256/2)
 		p := e.GetPacket()
 		p.FlowID = 0
-		if e.Inject(p) {
-			sent++
-		} else {
-			e.PutPacket(p)
-			runtime.Gosched()
-		}
+		offer(h, p)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for e.LedgerSnapshot().Residual() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("residual never settled: %+v", e.LedgerSnapshot())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	settle(t, e, total)
 	cancel()
 	<-done
 
@@ -81,29 +73,24 @@ func TestLedgerMidRingDrops(t *testing.T) {
 	}
 	e.MapFlow(0, ch)
 	e.SetSink(func(ps []*Packet) { e.PutPacketBatch(ps) })
+	h := e.ProducerHandle(0)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() { e.Run(ctx); close(done) }()
 
-	const total = 20000
-	for sent := 0; sent < total; {
+	// Unpaced, and kept up until the mid-chain ring has overflowed: the
+	// overload is the point, and the entry sheds most of it.
+	total := 0
+	for deadline := time.Now().Add(10 * time.Second); e.MidRingDrops.Load() == 0 || total < 20000; total++ {
+		if time.Now().After(deadline) {
+			break
+		}
 		p := e.GetPacket()
 		p.FlowID = 0
-		if e.Inject(p) {
-			sent++
-		} else {
-			e.PutPacket(p)
-			runtime.Gosched()
-		}
+		offer(h, p)
 	}
-	deadline := time.Now().Add(20 * time.Second)
-	for e.LedgerSnapshot().Residual() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("residual never settled: %+v", e.LedgerSnapshot())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	settle(t, e, total)
 	cancel()
 	<-done
 
@@ -117,9 +104,13 @@ func TestLedgerMidRingDrops(t *testing.T) {
 	if l.MidRingDrops > l.RingDrops {
 		t.Fatalf("MidRingDrops %d exceeds RingDrops %d", l.MidRingDrops, l.RingDrops)
 	}
-	if l.Delivered+l.MidRingDrops != total {
+	if l.Delivered+l.MidRingDrops != l.Injected {
 		t.Fatalf("delivered %d + midDrops %d != injected %d",
-			l.Delivered, l.MidRingDrops, total)
+			l.Delivered, l.MidRingDrops, l.Injected)
+	}
+	if l.Injected+preAccepted(l) != uint64(total) {
+		t.Fatalf("injected %d + pre-acceptance drops %d != offered %d, ledger %+v",
+			l.Injected, preAccepted(l), total, l)
 	}
 }
 

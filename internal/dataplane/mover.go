@@ -39,6 +39,10 @@ const (
 	moverParkMax     = time.Millisecond
 )
 
+// moverBatchMin is the adaptive sweep batch's floor; its ceiling is
+// max(256, Config.BatchSize), the size of each shard's scratch slab.
+const moverBatchMin = 32
+
 // Mover run states (mover.state).
 const (
 	moverActive int32 = iota
@@ -50,7 +54,7 @@ const (
 type mover struct {
 	id     int
 	stages []*stage  // static partition, fixed before Run spawns workers
-	buf    []*Packet // sweep scratch, one MoverBatchMax slab per shard
+	buf    []*Packet // sweep scratch, sized to the adaptive batch ceiling
 	rc     *recycler // shard-local freelist batcher for in-flight drops
 	// nstages mirrors len(stages) for MoverStats, which may race Run's
 	// partition assignment.
@@ -64,10 +68,11 @@ type mover struct {
 	laneRR int
 
 	// batch is the adaptive sweep batch: it tracks the drain-per-sweep
-	// EWMA between Config.MoverBatchMin and MoverBatchMax, growing under
-	// sustained backlog and shrinking when sweeps come up light. batch and
-	// ewma are owned by the mover goroutine; curBatch mirrors batch for
-	// MoverStats.
+	// EWMA between moverBatchMin and len(buf), growing under sustained
+	// backlog and shrinking when sweeps come up light, so loaded shards get
+	// deep batch amortization without idle shards walking oversized
+	// buffers. batch and ewma are owned by the mover goroutine; curBatch
+	// mirrors batch for MoverStats.
 	batch    int
 	ewma     float64
 	curBatch atomic.Int32
@@ -101,8 +106,8 @@ type MoverStats struct {
 	// many inject lanes are currently bound to it.
 	Stages int
 	Lanes  int
-	// Batch is the shard's current adaptive sweep batch (between
-	// Config.MoverBatchMin and MoverBatchMax).
+	// Batch is the shard's current adaptive sweep batch (between 32 and
+	// max(256, Config.BatchSize)).
 	Batch int
 	// Sweeps counts drain passes; Moved counts packets drained from tx
 	// rings across all sweeps (Moved/Sweeps is the drain efficiency);
@@ -229,7 +234,7 @@ func (e *Engine) runMover(m *mover) {
 		sm := e.moveStages(m.stages, m.buf[:m.batch], m.rc)
 		n += sm
 		m.sweeps.Add(1)
-		m.adaptBatch(n, e.cfg.MoverBatchMin, e.cfg.MoverBatchMax)
+		m.adaptBatch(n, moverBatchMin, len(m.buf))
 		if sm > 0 {
 			m.moved.Add(uint64(sm))
 		}

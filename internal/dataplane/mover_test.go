@@ -74,15 +74,11 @@ func TestMoverParksWhenIdle(t *testing.T) {
 
 	// Traffic after parking: deliveries resume (wake signal or park
 	// timeout, either is correctness; the wake just bounds latency).
-	for i := 0; i < 32; {
+	h := e.ProducerHandle(0)
+	for i := 0; i < 32; i++ {
 		p := e.GetPacket()
 		p.FlowID = 0
-		if e.Inject(p) {
-			i++
-		} else {
-			e.PutPacket(p)
-			runtime.Gosched()
-		}
+		offer(h, p)
 	}
 	deadline = time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) && got.Load() < 32 {
@@ -142,6 +138,7 @@ func TestConservationMovers(t *testing.T) {
 	for pr := 0; pr < 2; pr++ {
 		go func(pr int) {
 			defer func() { prodDone <- struct{}{} }()
+			h := e.ProducerHandle(0)
 			deadline := time.Now().Add(500 * time.Millisecond)
 			seq := 0
 			for time.Now().Before(deadline) {
@@ -149,10 +146,7 @@ func TestConservationMovers(t *testing.T) {
 				p.FlowID = 0
 				setSeq(p, seq)
 				seq++
-				if !e.Inject(p) {
-					e.PutPacket(p)
-					runtime.Gosched()
-				}
+				offer(h, p)
 			}
 		}(pr)
 	}

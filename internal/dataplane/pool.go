@@ -9,12 +9,13 @@ package dataplane
 // Ownership contract:
 //
 //   - GetPacket (or PacketCache.Get) hands the caller a descriptor; the
-//     caller owns it until Inject returns true or InjectBatch consumes it.
-//   - A packet rejected by Inject (false) is still the caller's: retry it or
-//     PutPacket it. InjectBatch instead consumes every packet, recycling the
-//     rejected ones itself.
-//   - Packets the engine drops in flight (shed batches, full rings, handler
-//     discards) are recycled automatically.
+//     caller owns it until a ProducerHandle accepts it (Inject returns
+//     true; InjectBatch counts it in the accepted prefix).
+//   - A packet the lane rejects (Inject false, InjectBatch's tail) is still
+//     the caller's: retry it or PutPacket it.
+//   - Packets the engine drops after accepting them (shed at the chain
+//     entry when the lane is drained, full rings, handler discards) are
+//     recycled automatically.
 //   - A delivered packet is owned by the Sink; returning it with PutPacket
 //     closes the zero-allocation loop. Skipping that is safe — the freelist
 //     just refills from the heap. With no Sink the engine recycles it.
@@ -100,9 +101,9 @@ func (e *Engine) PutPacket(p *Packet) {
 
 // PutPacketBatch recycles a slice of descriptors the caller owns with one
 // freelist reservation for the whole batch — the delivery-side mirror of
-// InjectBatch, for sinks that retire packets in bursts. Descriptors that do
-// not fit the freelist are left to the garbage collector. Safe from any
-// goroutine; the slice itself is not retained.
+// ProducerHandle.InjectBatch, for sinks that retire packets in bursts.
+// Descriptors that do not fit the freelist are left to the garbage
+// collector. Safe from any goroutine; the slice itself is not retained.
 func (e *Engine) PutPacketBatch(ps []*Packet) {
 	for _, p := range ps {
 		e.retire(p)

@@ -37,7 +37,9 @@ var recyclePaths = []struct {
 	{"entry shed", func(e *Engine, chain int, p *Packet) {
 		e.throttled[chain].Store(true)
 		p.FlowID = 0
-		e.InjectBatch([]*Packet{p})
+		h := e.ProducerHandle(0)
+		h.Inject(p)
+		e.drainLanes(h.lane.mov) // the engine is not running: this goroutine is the mover
 	}, func(e *Engine) uint64 { return e.EntryDrops.Load() }},
 	{"mid-ring drop", func(e *Engine, chain int, p *Packet) {
 		for e.stages[1].rx.Enqueue(e.newPacket()) {
@@ -137,6 +139,7 @@ func TestNilSinkRecyclesDeliveries(t *testing.T) {
 	done := make(chan struct{})
 	go func() { e.Run(ctx); close(done) }()
 
+	h := e.ProducerHandle(0)
 	cache := e.NewPacketCache(512)
 	batch := make([]*Packet, 256)
 	sent := 0
@@ -147,7 +150,9 @@ func TestNilSinkRecyclesDeliveries(t *testing.T) {
 			p.Size = 64
 			batch[i] = p
 		}
-		sent += e.InjectBatch(batch)
+		for rem := batch; len(rem) > 0; rem = rem[h.InjectBatch(rem):] {
+		}
+		sent += len(batch)
 		for int(e.Delivered.Load()) < sent {
 			runtime.Gosched()
 		}

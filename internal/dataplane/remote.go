@@ -54,6 +54,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -327,21 +328,33 @@ func (e *Engine) RemoteStats() []RemoteLinkStats {
 
 // RemoteIngress returns the accept-side adapter for this engine: wire it as
 // a remote.ServerConfig.OnBatch and every frame from upstream peers is
-// re-materialized from the freelist and injected into this engine's chains
-// (flows must be mapped with MapFlow as usual). Safe for concurrent sessions.
+// re-materialized from the freelist and offered to this engine's chains
+// (flows must be mapped with MapFlow as usual). The adapter owns one inject
+// lane and a reusable scratch slab behind a mutex, so it is safe for
+// concurrent sessions and allocates nothing per frame. A frame arriving
+// faster than the lane's mover drains it overflows like a full entry ring:
+// the tail is recycled and charged to RingDrops.
 func (e *Engine) RemoteIngress() func([]remote.Pkt) {
+	var mu sync.Mutex
+	h := e.ProducerHandle(0)
+	var scratch []*Packet
 	return func(ps []remote.Pkt) {
-		if len(ps) == 0 {
-			return
-		}
-		batch := make([]*Packet, len(ps))
-		for i, rp := range ps {
+		mu.Lock()
+		defer mu.Unlock()
+		scratch = scratch[:0]
+		for _, rp := range ps {
 			p := e.GetPacket()
 			p.FlowID = int(rp.Flow)
 			p.Size = int(rp.Size)
-			batch[i] = p
+			scratch = append(scratch, p)
 		}
-		e.InjectBatch(batch)
+		if tail := scratch[h.InjectBatch(scratch):]; len(tail) > 0 {
+			// After Run has exited the handle already charged LateDrops.
+			if !e.stopped.Load() {
+				e.RingDrops.Add(uint64(len(tail)))
+			}
+			e.PutPacketBatch(tail)
+		}
 	}
 }
 

@@ -65,13 +65,38 @@ func TestCrossProcessConservation(t *testing.T) {
 	bdone := make(chan struct{})
 	go func() { b.Run(bctx); close(bdone) }()
 
+	ingress := b.RemoteIngress()
 	srv, err := remote.Listen("127.0.0.1:0", remote.ServerConfig{
-		OnBatch: b.RemoteIngress(),
+		OnBatch: ingress,
 		ECN:     b.CongestionSignal(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A second session's worth of frames, fed straight into the same
+	// adapter from another goroutine for as long as the wire is busy: the
+	// adapter's one lane and scratch slab are shared by every session, so
+	// this is the concurrency -race has to clear.
+	var direct atomic.Uint64
+	stopDirect := make(chan struct{})
+	directDone := make(chan struct{})
+	go func() {
+		defer close(directDone)
+		frame := make([]remote.Pkt, 16)
+		for i := range frame {
+			frame[i] = remote.Pkt{Flow: 1, Size: 64}
+		}
+		for {
+			select {
+			case <-stopDirect:
+				return
+			default:
+			}
+			ingress(frame)
+			direct.Add(uint64(len(frame)))
+			time.Sleep(100 * time.Microsecond)
+		}
+	}()
 
 	// The seeded wire schedule: kill the connection every 150 writes. Same
 	// seed, same kill indices (see TestWireDropDeterministic), so a failing
@@ -99,6 +124,7 @@ func TestCrossProcessConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.MapFlow(1, ach)
+	ha := a.ProducerHandle(0)
 	actx, acancel := context.WithCancel(context.Background())
 	adone := make(chan struct{})
 	go func() { a.Run(actx); close(adone) }()
@@ -118,12 +144,8 @@ func TestCrossProcessConservation(t *testing.T) {
 		p := a.GetPacket()
 		p.FlowID = 1
 		p.Size = 64
-		if a.Inject(p) {
-			sent++
-		} else {
-			a.PutPacket(p)
-			runtime.Gosched()
-		}
+		dataplane.Offer(ha, p)
+		sent++
 	}
 
 	// Quiesce: injection has stopped, so the pipeline drains and the link's
@@ -132,12 +154,14 @@ func TestCrossProcessConservation(t *testing.T) {
 	// shed mid-chain during an outage, or delivered-to-peer — is recorded.
 	remoteWait(t, 30*time.Second, func() bool {
 		rs := a.RemoteStats()[0]
-		if rs.Queued != 0 || rs.Inflight != 0 {
+		if rs.Queued != 0 || rs.Inflight != 0 || a.Injected.Load() != total {
 			return false
 		}
 		inj, acc := remoteReconcile(a, map[string]bool{"stamp": true})
 		return inj == acc
 	}, "upstream ledger never settled")
+	close(stopDirect)
+	<-directDone
 
 	acancel()
 	select {
@@ -182,8 +206,16 @@ func TestCrossProcessConservation(t *testing.T) {
 	if inj, acc := remoteReconcile(a, map[string]bool{"stamp": true}); inj != acc {
 		t.Errorf("upstream conservation violated: injected=%d accounted=%d", inj, acc)
 	}
-	if inj, acc := remoteReconcile(b, map[string]bool{"sink": true}); inj != acc {
-		t.Errorf("downstream conservation violated: injected=%d accounted=%d", inj, acc)
+	// Downstream: every packet either session handed the ingress adapter is
+	// Injected or in a pre-acceptance class (a lane-full tail lands in
+	// RingDrops), and everything Injected has an outcome.
+	lb := b.LedgerSnapshot()
+	if got, want := lb.Injected+dataplane.PreAccepted(lb), total+direct.Load(); got != want {
+		t.Errorf("downstream ingress lost packets: injected+pre-acceptance=%d, handed over %d, ledger %+v",
+			got, want, lb)
+	}
+	if lb.Residual() != 0 || lb.Delivered == 0 {
+		t.Errorf("downstream ledger open: residual=%d ledger %+v", lb.Residual(), lb)
 	}
 
 	// The outage and recovery are journaled with the peer address.
@@ -244,6 +276,7 @@ func TestRemoteWindowBackpressure(t *testing.T) {
 	e.MapFlow(1, ch)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
+	h := e.ProducerHandle(0)
 	go func() { e.Run(ctx); close(done) }()
 
 	// Wait for the dial to complete, then fill the transport: the unacked
@@ -256,9 +289,7 @@ func TestRemoteWindowBackpressure(t *testing.T) {
 	for i := 0; i < 24; i++ {
 		p := e.GetPacket()
 		p.FlowID = 1
-		if !e.Inject(p) {
-			e.PutPacket(p)
-		}
+		dataplane.Offer(h, p)
 	}
 	remoteWait(t, 10*time.Second, func() bool {
 		return e.RemoteStats()[0].Queued == 8 // SendBuf full: Space == 0
@@ -270,10 +301,7 @@ func TestRemoteWindowBackpressure(t *testing.T) {
 	for !e.Throttled(ch) && time.Now().Before(deadline) {
 		p := e.GetPacket()
 		p.FlowID = 1
-		if !e.Inject(p) {
-			e.PutPacket(p)
-			runtime.Gosched()
-		}
+		dataplane.Offer(h, p)
 	}
 	if !e.Throttled(ch) {
 		t.Fatal("chain never throttled despite a dead-ack peer")
@@ -335,6 +363,7 @@ func TestRemoteECNOriginThrottle(t *testing.T) {
 	e.MapFlow(1, ch)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
+	h := e.ProducerHandle(0)
 	go func() { e.Run(ctx); close(done) }()
 	defer func() {
 		cancel()
@@ -350,9 +379,7 @@ func TestRemoteECNOriginThrottle(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		p := e.GetPacket()
 		p.FlowID = 1
-		if !e.Inject(p) {
-			e.PutPacket(p)
-		}
+		dataplane.Offer(h, p)
 	}
 	remoteWait(t, 10*time.Second, func() bool {
 		return e.RemoteStats()[0].ECNEchoes > 0
@@ -408,6 +435,7 @@ func TestRemoteCircuitOpenFailClosed(t *testing.T) {
 	e.MapFlow(1, ch)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
+	h := e.ProducerHandle(0)
 	go func() { e.Run(ctx); close(done) }()
 
 	// Feed a few packets while the link is still dialing; they buffer in
@@ -415,9 +443,7 @@ func TestRemoteCircuitOpenFailClosed(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		p := e.GetPacket()
 		p.FlowID = 1
-		if !e.Inject(p) {
-			e.PutPacket(p)
-		}
+		dataplane.Offer(h, p)
 	}
 
 	remoteWait(t, 10*time.Second, func() bool {
@@ -432,10 +458,7 @@ func TestRemoteCircuitOpenFailClosed(t *testing.T) {
 	remoteWait(t, 10*time.Second, func() bool {
 		p := e.GetPacket()
 		p.FlowID = 1
-		if e.Inject(p) {
-			return false
-		}
-		e.PutPacket(p)
+		dataplane.Offer(h, p)
 		return e.FaultEntryDrops.Load() > fed
 	}, "fail-closed chain still accepting packets after circuit open")
 
@@ -548,6 +571,7 @@ func TestRemoteTelemetryAndHealthz(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
+	h := e.ProducerHandle(0)
 	go func() { e.Run(ctx); close(done) }()
 	defer func() {
 		cancel()
@@ -560,9 +584,7 @@ func TestRemoteTelemetryAndHealthz(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		p := e.GetPacket()
 		p.FlowID = 1
-		if !e.Inject(p) {
-			e.PutPacket(p)
-		}
+		dataplane.Offer(h, p)
 	}
 	remoteWait(t, 10*time.Second, func() bool {
 		return e.RemoteDelivered.Load() > 0
@@ -652,6 +674,7 @@ func TestRemoteDrainDeadLink(t *testing.T) {
 	a.MapFlow(1, ach)
 	actx, acancel := context.WithCancel(context.Background())
 	adone := make(chan struct{})
+	ha := a.ProducerHandle(0)
 	go func() { a.Run(actx); close(adone) }()
 
 	// paced tracks RemoteDelivered so the warm-up phase never outruns the
@@ -668,12 +691,8 @@ func TestRemoteDrainDeadLink(t *testing.T) {
 			p := a.GetPacket()
 			p.FlowID = 1
 			p.Size = 64
-			if a.Inject(p) {
-				sent++
-			} else {
-				a.PutPacket(p)
-				runtime.Gosched()
-			}
+			dataplane.Offer(ha, p)
+			sent++
 		}
 		return sent
 	}

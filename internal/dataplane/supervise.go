@@ -95,6 +95,10 @@ const probationGrants = 8
 // restartNever marks a circuit-open stage: no restart will be scheduled.
 const restartNever = int64(math.MaxInt64)
 
+// restartBackoffMax caps the exponential restart schedule (see
+// restartBackoff).
+const restartBackoffMax = 500 * time.Millisecond
+
 // workerKind distinguishes worker incarnations by what their stage's
 // handler does with packets.
 type workerKind uint8
@@ -264,7 +268,6 @@ func (e *Engine) detachStage(s *stage, w *workerCtx) {
 // scheduler goroutine of the stage's core.
 func (e *Engine) failStage(s *stage, kind, msg string) {
 	fails := int(s.consecFails.Add(1))
-	e.anyFaulty.Store(true)
 	if e.cfg.MaxRestarts >= 0 && fails > e.cfg.MaxRestarts {
 		s.restartAtNanos.Store(restartNever)
 		e.record(Decision{Kind: DecisionCircuitOpen, Chain: -1, Stage: s.name,
@@ -273,6 +276,10 @@ func (e *Engine) failStage(s *stage, kind, msg string) {
 		s.restartAtNanos.Store(time.Now().UnixNano() + e.restartBackoff(fails).Nanoseconds())
 	}
 	e.setHealthNote(s, Failed, kind+": "+msg)
+	// Raise the gate only after the state is visible: supervise re-reads
+	// every stage's health after it clears the gate, so one of the two
+	// always sees the other (see supervise).
+	e.anyFaulty.Store(true)
 	e.recomputeChainsDown()
 	e.emit(telemetry.LevelWarn, "stage_fault",
 		telemetry.F("stage", s.name), telemetry.F("kind", kind),
@@ -284,12 +291,10 @@ func (e *Engine) failStage(s *stage, kind, msg string) {
 // stages don't restart in lockstep (and chaos runs stay reproducible).
 func (e *Engine) restartBackoff(fails int) time.Duration {
 	d := e.cfg.RestartBackoff
-	for i := 1; i < fails && d < e.cfg.RestartBackoffMax; i++ {
+	for i := 1; i < fails && d < restartBackoffMax; i++ {
 		d *= 2
 	}
-	if d > e.cfg.RestartBackoffMax {
-		d = e.cfg.RestartBackoffMax
-	}
+	d = min(d, restartBackoffMax)
 	e.jitterMu.Lock()
 	f := 0.8 + 0.4*e.jitterRand.Float64()
 	e.jitterMu.Unlock()
@@ -369,10 +374,10 @@ func (e *Engine) remoteLinkState(l *remoteLink, st remote.State, attempt int) {
 	case remote.StateCircuitOpen:
 		s.consecFails.Store(int32(attempt))
 		s.restartAtNanos.Store(restartNever)
-		e.anyFaulty.Store(true)
 		e.record(Decision{Kind: DecisionRemoteCircuitOpen, Chain: -1,
 			Stage: s.name, Peer: l.addr, Failures: attempt})
 		e.setHealthNote(s, Failed, "remote: circuit open "+l.addr)
+		e.anyFaulty.Store(true)
 		e.recomputeChainsDown()
 	case remote.StateClosed:
 		// Engine shutdown owns the final accounting; no health transition.
@@ -408,7 +413,18 @@ func (e *Engine) supervise(now int64) {
 		}
 	}
 	if allHealthy {
+		// Clear the gate, then look again: a stage that failed on a
+		// scheduler goroutine between the scan above and the clear has
+		// already published Failed (failStage sets health before the gate),
+		// so the second look re-raises the gate instead of stranding the
+		// stage with nobody to restart it.
 		e.anyFaulty.Store(false)
+		for _, s := range e.stages {
+			if Health(s.health.Load()) != Healthy {
+				e.anyFaulty.Store(true)
+				break
+			}
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package dataplane
 
 import (
 	"context"
-	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -13,9 +12,9 @@ import (
 
 // reconcile returns the two sides of the full-run accounting invariant:
 // accepted packets vs every accounted fate. Entry-stage ring drops are
-// excluded — those happen before acceptance (Inject returns false without
-// incrementing Injected); only mid-chain ring drops consume an accepted
-// packet.
+// excluded — those happen before acceptance (the lane drain recycles the
+// packet without incrementing Injected); only mid-chain ring drops consume
+// an accepted packet.
 func reconcile(e *Engine) (injected, accounted uint64) {
 	entry := make(map[int]bool)
 	for _, ch := range e.chains {
@@ -77,6 +76,7 @@ func TestPanicIsolationAndRestart(t *testing.T) {
 		}
 	})
 
+	h := e.ProducerHandle(0)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() { e.Run(ctx); close(done) }()
@@ -84,15 +84,13 @@ func TestPanicIsolationAndRestart(t *testing.T) {
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
 		// Keep driving until every asserted-on counter has fired: a
-		// fail-closed entry drop needs an Inject to land inside a restart
-		// window, which fast restarts can make narrow.
+		// fail-closed entry drop needs a lane drain to land inside a
+		// restart window, which fast restarts can make narrow.
 		if e.Stats()[1].Restarts >= 3 && e.Delivered.Load() > 1000 &&
 			e.FaultEntryDrops.Load() > 0 {
 			break
 		}
-		if !e.Inject(&Packet{FlowID: 0}) {
-			runtime.Gosched()
-		}
+		offer(h, &Packet{FlowID: 0})
 	}
 	cancel()
 	select {
@@ -191,6 +189,7 @@ func TestWedgedHandlerDetached(t *testing.T) {
 		}
 	})
 
+	h := e.ProducerHandle(0)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() { e.Run(ctx); close(done) }()
@@ -199,7 +198,7 @@ func TestWedgedHandlerDetached(t *testing.T) {
 	// Feed the wedge packets until it re-fails past its restart budget and
 	// the circuit opens; prove the scheduler survives every detach.
 	waitFor(t, 5*time.Second, "wedged stage circuit-open (Failed for good)", func() bool {
-		e.Inject(&Packet{FlowID: 0})
+		offer(h, &Packet{FlowID: 0})
 		st := e.Stats()[wedged]
 		return st.Health == Failed && st.Restarts >= 1
 	})
@@ -208,7 +207,7 @@ func TestWedgedHandlerDetached(t *testing.T) {
 	before := e.Delivered.Load()
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) && e.Delivered.Load() < before+100 {
-		e.Inject(&Packet{FlowID: 1})
+		offer(h, &Packet{FlowID: 1})
 	}
 	if got := e.Delivered.Load(); got < before+100 {
 		t.Fatalf("healthy stage starved after sibling wedged: delivered %d", got-before)
@@ -261,9 +260,10 @@ func TestFailOpenBypassesDeadHop(t *testing.T) {
 	done := make(chan struct{})
 	go func() { e.Run(ctx); close(done) }()
 
+	h := e.ProducerHandle(0)
 	deadline := time.Now().Add(3 * time.Second)
 	for time.Now().Before(deadline) && e.Delivered.Load() < 500 {
-		e.Inject(&Packet{FlowID: 0})
+		offer(h, &Packet{FlowID: 0})
 	}
 	cancel()
 	<-done
@@ -303,9 +303,10 @@ func TestCircuitBreakerStopsRestarts(t *testing.T) {
 	done := make(chan struct{})
 	go func() { e.Run(ctx); close(done) }()
 
+	h := e.ProducerHandle(0)
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		e.Inject(&Packet{FlowID: 0})
+		offer(h, &Packet{FlowID: 0})
 		if st := e.Stats()[s]; st.Health == Failed && st.Restarts >= 2 {
 			// Give it a few more backoff periods to prove it stays down.
 			time.Sleep(50 * time.Millisecond)
@@ -326,9 +327,9 @@ func TestCircuitBreakerStopsRestarts(t *testing.T) {
 	}
 }
 
-// TestDrainOnShutdown: packets sitting in rings at cancel are delivered by
-// the bounded drain rather than dropped, and the invariant holds after Run
-// returns.
+// TestDrainOnShutdown: packets sitting in a lane at cancel are routed and
+// delivered by the bounded drain rather than dropped, and the invariant
+// holds after Run returns.
 func TestDrainOnShutdown(t *testing.T) {
 	e := New(Config{RingSize: 512, BatchSize: 16, DrainTimeout: time.Second})
 	s := e.AddStage("nf", 1024, func(p *Packet) {})
@@ -340,11 +341,12 @@ func TestDrainOnShutdown(t *testing.T) {
 		}
 	})
 
-	// Pre-fill the ring, then run with an already-canceled context: Run
+	// Pre-fill a lane, then run with an already-canceled context: Run
 	// goes straight to the drain phase.
 	const n = 300
+	h := e.ProducerHandle(0)
 	for i := 0; i < n; i++ {
-		if !e.Inject(&Packet{FlowID: 0}) {
+		if !h.Inject(&Packet{FlowID: 0}) {
 			t.Fatalf("inject %d rejected before Run", i)
 		}
 	}
@@ -360,24 +362,25 @@ func TestDrainOnShutdown(t *testing.T) {
 	}
 }
 
-// TestInjectAfterRunRejected: once Run has exited, Inject and InjectBatch
-// refuse packets (counting the attempts) instead of enqueueing into rings
-// nobody will ever drain.
+// TestInjectAfterRunRejected: once Run has exited — here without ever
+// draining — a handle registered before it refuses packets (counting the
+// attempts) instead of queueing them behind movers that are gone.
 func TestInjectAfterRunRejected(t *testing.T) {
 	e := New(Config{RingSize: 64, BatchSize: 8, DrainTimeout: -1})
 	s := e.AddStage("nf", 1024, func(p *Packet) {})
 	chain, _ := e.AddChain(s)
 	e.MapFlow(0, chain)
+	h := e.ProducerHandle(0)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	e.Run(ctx)
 
-	if e.Inject(&Packet{FlowID: 0}) {
+	if h.Inject(&Packet{FlowID: 0}) {
 		t.Error("Inject accepted a packet after Run exited")
 	}
 	batch := []*Packet{{FlowID: 0}, {FlowID: 0}, {FlowID: 0}}
-	if got := e.InjectBatch(batch); got != 0 {
+	if got := h.InjectBatch(batch); got != 0 {
 		t.Errorf("InjectBatch accepted %d packets after Run exited", got)
 	}
 	if got := e.LateDrops.Load(); got != 4 {
@@ -435,7 +438,7 @@ func TestDebugPoolUseAfterRecycle(t *testing.T) {
 	stale := e.GetPacket()
 	e.PutPacket(stale)
 	stale.FlowID = 0
-	e.Inject(stale)
+	offer(e.ProducerHandle(0), stale)
 	waitFor(t, 2*time.Second, "use-after-recycle flagged as stage fault", func() bool {
 		for _, ev := range events.Events() {
 			if ev.Type == "stage_fault" {
@@ -482,13 +485,10 @@ func TestGrantTimerReuse(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() { e.Run(ctx); close(done) }()
+	h := e.ProducerHandle(0)
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) && e.Delivered.Load() < 10000 {
-		p := e.GetPacket()
-		if !e.Inject(p) {
-			e.PutPacket(p)
-			runtime.Gosched()
-		}
+		offer(h, e.GetPacket())
 	}
 	cancel()
 	<-done

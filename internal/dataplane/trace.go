@@ -8,13 +8,13 @@ package dataplane
 //
 // Cost model: the unsampled path stays zero-allocation and zero-atomic —
 // when the recorder is disabled (Config.TraceSampleShift == 0) the only
-// additions to the hot path are a nil pointer check per batch (inject,
-// mover) and a nil `span` field check per packet in the worker, all
+// additions to the hot path are a nil pointer check per batch (lane drain,
+// stage sweep) and a nil `span` field check per packet in the worker, all
 // perfectly predicted; the allocation gate (TestSteadyStateZeroAllocs)
 // holds. With sampling enabled, the sampler pays one atomic add per
-// injected batch (per packet on the compat Inject path) and sampled packets
-// pay a handful of time.Now calls; spans are recycled through a lock-free
-// freelist so the sampled path does not allocate either.
+// drained lane batch and sampled packets pay a handful of time.Now calls;
+// spans are recycled through a lock-free freelist so the sampled path does
+// not allocate either.
 //
 // Completed spans drain into a bounded MPMC spool. The control loop empties
 // the spool off the hot path: each span feeds the per-hop latency
@@ -118,7 +118,7 @@ type SpanStats struct {
 type recorder struct {
 	// mask selects 1-in-(mask+1) packets by sequence number (power of two).
 	mask uint64
-	// seq numbers every offered packet; one atomic add per injected batch.
+	// seq numbers every offered packet; one atomic add per drained batch.
 	seq atomic.Uint64
 	// free holds idle span slabs; spool holds completed spans awaiting the
 	// control loop's drain.
@@ -175,12 +175,11 @@ func (e *Engine) SetSpanSink(fn func(*Span)) {
 }
 
 // startSpan attaches a fresh span to a sampled packet. Called with the
-// packet still owned by the injector, before it is published to any ring.
+// packet still owned by the draining mover, before it is published to any
+// ring (a packet out of a lane never carries one already: lanes reject
+// before sampling, and every recycle path aborts an attached span).
 func (e *Engine) startSpan(p *Packet, seq uint64, nowNanos int64) {
 	r := e.rec
-	if p.span != nil {
-		return // retried Inject of an already-sampled packet
-	}
 	sp, ok := r.free.Dequeue()
 	if !ok {
 		r.starved.Add(1)
@@ -194,18 +193,9 @@ func (e *Engine) startSpan(p *Packet, seq uint64, nowNanos int64) {
 	r.sampled.Add(1)
 }
 
-// sampleInject is the per-packet (compat Inject) sampling decision; the
-// clock is only read on a sampler hit.
-func (e *Engine) sampleInject(p *Packet) {
-	r := e.rec
-	seq := r.seq.Add(1) - 1
-	if seq&r.mask == 0 {
-		e.startSpan(p, seq, time.Now().UnixNano())
-	}
-}
-
-// sampleBatch numbers a whole injected batch with one atomic add and starts
-// spans on the packets whose sequence numbers hit the 1-in-N boundary.
+// sampleBatch numbers a whole drained lane batch with one atomic add and
+// starts spans on the packets whose sequence numbers hit the 1-in-N
+// boundary.
 func (e *Engine) sampleBatch(ps []*Packet, nowNanos int64) {
 	r := e.rec
 	n := uint64(len(ps))

@@ -73,12 +73,10 @@ func TestSamplerDisabledNoStamps(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go e.Run(ctx)
-	for i := 0; i < 100; {
-		if e.Inject(&Packet{FlowID: 0}) {
-			i++
-		} else {
-			runtime.Gosched()
-		}
+	h := e.ProducerHandle(0)
+	for i := 0; i < 100; i++ {
+		pace(e, i, 32) // half the ring: nothing is shed
+		offer(h, &Packet{FlowID: 0})
 	}
 	waitFor(t, 5*time.Second, "delivery", func() bool { return got.Load() == 100 })
 	if st := e.SpanStats(); st != (SpanStats{}) {
@@ -112,16 +110,12 @@ func TestSpanSlabRecycling(t *testing.T) {
 	go func() { e.Run(ctx); close(done) }()
 
 	const n = 4000
-	sent := 0
-	for sent < n {
+	h := e.ProducerHandle(0)
+	for sent := 0; sent < n; {
 		p := e.GetPacket()
 		p.FlowID = 0
-		if e.Inject(p) {
-			sent++
-		} else {
-			e.PutPacket(p) // aborts the span a failed inject leaves attached
-			runtime.Gosched()
-		}
+		offer(h, p)
+		sent++
 		// Closed loop: never outrun the 16-slab recorder by more than the
 		// ring; the point is recycling, not starvation.
 		for int(got.Load()) < sent-64 {
@@ -183,6 +177,7 @@ func TestSpanHopsChain3(t *testing.T) {
 	go func() { e.Run(ctx); close(done) }()
 
 	const n = 64 * 40
+	h := e.ProducerHandle(0)
 	cache := e.NewPacketCache(256)
 	batch := make([]*Packet, 64)
 	sent := 0
@@ -193,7 +188,8 @@ func TestSpanHopsChain3(t *testing.T) {
 			batch[i] = p
 		}
 		sent += len(batch)
-		e.InjectBatch(batch)
+		for rem := batch; len(rem) > 0; rem = rem[h.InjectBatch(rem):] {
+		}
 		for int(got.Load()) < sent-512 {
 			runtime.Gosched()
 		}
@@ -270,6 +266,7 @@ func TestBackpressureFlightRecorder(t *testing.T) {
 	done := make(chan struct{})
 	go func() { e.Run(ctx); close(done) }()
 
+	h := e.ProducerHandle(0)
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		if e.ThrottleEvents.Load() > 0 && e.SpanStats().Completed > 10 {
@@ -277,10 +274,7 @@ func TestBackpressureFlightRecorder(t *testing.T) {
 		}
 		p := e.GetPacket()
 		p.FlowID = 0
-		if !e.Inject(p) {
-			e.PutPacket(p)
-			runtime.Gosched()
-		}
+		offer(h, p)
 	}
 	cancel()
 	<-done
@@ -357,15 +351,12 @@ func TestHopHistogramsRegistered(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() { e.Run(ctx); close(done) }()
-	for i := 0; i < 400; {
+	h := e.ProducerHandle(0)
+	for i := 0; i < 400; i++ {
+		pace(e, i, 128) // below the watermark: all 400 must be delivered
 		p := e.GetPacket()
 		p.FlowID = 0
-		if e.Inject(p) {
-			i++
-		} else {
-			e.PutPacket(p)
-			runtime.Gosched()
-		}
+		offer(h, p)
 	}
 	waitFor(t, 5*time.Second, "delivery", func() bool { return got.Load() == 400 })
 	waitFor(t, 5*time.Second, "spool drain", func() bool {

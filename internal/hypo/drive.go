@@ -59,39 +59,69 @@ func buildChains(e *dataplane.Engine, n, hops int, handler func(chain, hop int) 
 	return chains
 }
 
-// injectPaced pushes total packets round-robin across flows, keeping the
-// accepted-but-unaccounted population at or below inflight (admissible
-// load: queues stay bounded by construction). Rejected injects are retried
-// until accepted. Returns false if the deadline passes first.
-func injectPaced(e *dataplane.Engine, flows, total, inflight int, deadline time.Time) bool {
-	sent := 0
-	for sent < total {
+// outstanding is how many of the offered packets — the ones a producer lane
+// accepted — have no outcome in the ledger yet: still in a lane, in a
+// mover's hands, or in flight through the chains. A lane's acceptance only
+// promises the packet will be offered to its chain; what became of it is
+// read here, from the pre-acceptance drop classes plus the post-acceptance
+// identity. Exact wherever the packets sit (which Residual() plus lane
+// lengths is not while a mover holds a drained batch), provided offered
+// counts everything any producer of this engine got accepted.
+func outstanding(e *dataplane.Engine, offered int) int {
+	l := e.LedgerSnapshot()
+	entry := l.EntryDrops + l.FaultEntryDrops + (l.RingDrops - l.MidRingDrops) +
+		l.UnroutedDrops + l.LateDrops
+	return offered - int(entry+l.Accounted())
+}
+
+// offerPaced waits until fewer than inflight of the sent packets are
+// outstanding (admissible load: queues stay bounded by construction), then
+// lets fill stamp a fresh descriptor and offers it through h, retrying a
+// full lane. It reports false if the deadline passes first.
+func offerPaced(e *dataplane.Engine, h *dataplane.ProducerHandle, sent, inflight int,
+	deadline time.Time, fill func(p *dataplane.Packet)) bool {
+	for outstanding(e, sent) >= inflight {
 		if time.Now().After(deadline) {
 			return false
 		}
-		if l := e.LedgerSnapshot(); l.Residual() >= int64(inflight) {
-			runtime.Gosched()
-			continue
-		}
-		p := e.GetPacket()
-		p.FlowID = sent % flows
-		p.Size = 64
-		if e.Inject(p) {
-			sent++
-		} else {
+		runtime.Gosched()
+	}
+	p := e.GetPacket()
+	fill(p)
+	for !h.Inject(p) {
+		if time.Now().After(deadline) {
 			e.PutPacket(p)
-			runtime.Gosched()
+			return false
+		}
+		runtime.Gosched()
+	}
+	return true
+}
+
+// injectPaced pushes total packets round-robin across flows through one
+// producer lane, keeping at most inflight of them outstanding. Returns
+// false if the deadline passes first.
+func injectPaced(e *dataplane.Engine, flows, total, inflight int, deadline time.Time) bool {
+	h := e.ProducerHandle(0)
+	defer h.Close()
+	for sent := 0; sent < total; sent++ {
+		ok := offerPaced(e, h, sent, inflight, deadline, func(p *dataplane.Packet) {
+			p.FlowID = sent % flows
+			p.Size = 64
+		})
+		if !ok {
+			return false
 		}
 	}
 	return true
 }
 
-// waitSettled polls until the ledger residual reaches zero (the pipeline
-// has accounted every accepted packet) or the deadline passes.
-func waitSettled(e *dataplane.Engine, timeout time.Duration) bool {
+// waitSettled polls until every one of the offered packets has an outcome
+// in the ledger or the deadline passes.
+func waitSettled(e *dataplane.Engine, offered int, timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
-		if e.LedgerSnapshot().Residual() == 0 {
+		if outstanding(e, offered) == 0 {
 			return true
 		}
 		time.Sleep(time.Millisecond)

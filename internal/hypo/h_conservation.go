@@ -106,7 +106,7 @@ func conservationLocal(ctx RunCtx, movers int, policy dataplane.FailPolicy) (Out
 	total := ctx.N(3000 * nChains)
 	deadline := time.Now().Add(180 * time.Second)
 	injected := injectPaced(e, nChains, total, 384, deadline)
-	settled := injected && waitSettled(e, 60*time.Second)
+	settled := injected && waitSettled(e, total, 60*time.Second)
 	if err := run.stop(30 * time.Second); err != nil {
 		return Outcome{}, err
 	}
@@ -196,6 +196,7 @@ func conservationRemote(ctx RunCtx, partition bool) (Outcome, error) {
 		return Outcome{}, err
 	}
 	a.MapFlow(1, ach)
+	ha := a.ProducerHandle(0)
 	arun := start(a)
 
 	// Pace against the link: cap in-flight below the uplink ring so
@@ -217,7 +218,7 @@ func conservationRemote(ctx RunCtx, partition bool) (Outcome, error) {
 		p := a.GetPacket()
 		p.FlowID = 1
 		p.Size = 64
-		if a.Inject(p) {
+		if ha.Inject(p) {
 			sent++
 		} else {
 			a.PutPacket(p)
@@ -232,7 +233,7 @@ func conservationRemote(ctx RunCtx, partition bool) (Outcome, error) {
 		settleBy := time.Now().Add(60 * time.Second)
 		for time.Now().Before(settleBy) {
 			rs := a.RemoteStats()[0]
-			if rs.Queued == 0 && rs.Inflight == 0 && a.LedgerSnapshot().Residual() == 0 {
+			if rs.Queued == 0 && rs.Inflight == 0 && outstanding(a, sent) == 0 {
 				settled = true
 				break
 			}

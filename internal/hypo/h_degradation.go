@@ -82,22 +82,30 @@ func runDegradation(ctx RunCtx) (Outcome, error) {
 
 	run := start(e)
 
-	// Aggressor: `producers` goroutines blasting unpaced — offered load is
-	// a multiple of what the expensive stage can drain, so the excess can
-	// only be shed. Rejected packets are surrendered, not retried.
+	// Aggressor: `producers` goroutines, one lane each, blasting unpaced —
+	// offered load is a multiple of what the expensive stage can drain, so
+	// the excess can only be shed when the movers drain the lanes. A full
+	// lane just means the mover has not caught up: retry at once, without
+	// yielding, as a NIC would not — these goroutines compete with the
+	// pipeline for the CPUs exactly as the pre-lane drivers' did.
 	var stopAgg atomic.Bool
 	var aggWG sync.WaitGroup
 	var aggOffered atomic.Uint64
 	for i := 0; i < producers; i++ {
 		aggWG.Add(1)
+		h := e.ProducerHandle(0)
 		go func() {
 			defer aggWG.Done()
-			for !stopAgg.Load() {
+			defer h.Close()
+			for {
 				p := e.GetPacket()
 				p.FlowID = aggFlow
 				p.Size = 64
-				if !e.Inject(p) {
-					e.PutPacket(p)
+				for !h.Inject(p) {
+					if stopAgg.Load() {
+						e.PutPacket(p)
+						return
+					}
 				}
 				aggOffered.Add(1)
 			}
@@ -123,7 +131,9 @@ func runDegradation(ctx RunCtx) (Outcome, error) {
 	}
 	victimStart := time.Now()
 	victimDone := true
-	for sent := 0; sent < victimTotal; {
+	vh := e.ProducerHandle(0)
+	sent := 0
+	for sent < victimTotal {
 		if time.Now().After(deadline) {
 			victimDone = false
 			break
@@ -135,7 +145,7 @@ func runDegradation(ctx RunCtx) (Outcome, error) {
 		p := e.GetPacket()
 		p.FlowID = sent % victimFlows
 		p.Size = 64
-		if e.Inject(p) {
+		if vh.Inject(p) {
 			sent++
 		} else {
 			e.PutPacket(p)
@@ -143,10 +153,15 @@ func runDegradation(ctx RunCtx) (Outcome, error) {
 		}
 	}
 	victimElapsed := time.Since(victimStart)
+	vh.Close()
 
 	stopAgg.Store(true)
 	aggWG.Wait()
-	settled := waitSettled(e, 60*time.Second)
+	// Everything either kind of producer got into a lane must reach an
+	// outcome; a victim cut short by the deadline offered fewer than its
+	// total, which victim_completes reports.
+	offered := int(aggOffered.Load()) + sent
+	settled := waitSettled(e, offered, 60*time.Second)
 	if err := run.stop(30 * time.Second); err != nil {
 		return Outcome{}, err
 	}

@@ -125,20 +125,29 @@ func runFIFO(ctx RunCtx) (Outcome, error) {
 	total := ctx.N(16000)
 	deadline := time.Now().Add(180 * time.Second)
 
-	var handle *dataplane.ProducerHandle
-	if mode == "lanechurn" {
-		handle = e.ProducerHandle(256)
+	// One producer on one lane at a time; sequence numbers ride in the
+	// frame, assigned in offer order.
+	handle := e.ProducerHandle(256)
+	sent := 0
+	offerNext := func() bool {
+		ok := offerPaced(e, handle, sent, inflight, deadline, func(p *dataplane.Packet) {
+			p.FlowID = sent % nFlows
+			p.Size = 64
+			p.Frame = binary.LittleEndian.AppendUint64(p.Frame[:0], uint64(sent/nFlows))
+		})
+		if ok {
+			sent++
+		}
+		return ok
 	}
-	churnEvery := total / 8
+	churnEvery := 0
+	if mode == "lanechurn" {
+		churnEvery = total / 8
+	}
 	nextChurn := churnEvery
 	injected := true
-	sent := 0
 	for sent < total {
-		if time.Now().After(deadline) {
-			injected = false
-			break
-		}
-		if handle != nil && churnEvery > 0 && sent >= nextChurn {
+		if churnEvery > 0 && sent >= nextChurn {
 			nextChurn += churnEvery
 			// Lane churn: drain the old handle fully before retiring it —
 			// the per-flow order contract spans lanes only through empty
@@ -149,33 +158,10 @@ func runFIFO(ctx RunCtx) (Outcome, error) {
 			handle.Close()
 			handle = e.ProducerHandle(256)
 		}
-		if l := e.LedgerSnapshot(); l.Residual() >= inflight ||
-			(handle != nil && handle.Len() >= inflight/2) {
-			runtime.Gosched()
-			continue
+		if !offerNext() {
+			injected = false
+			break
 		}
-		p := e.GetPacket()
-		p.FlowID = sent % nFlows
-		p.Size = 64
-		p.Frame = binary.LittleEndian.AppendUint64(p.Frame[:0], uint64(sent/nFlows))
-		ok := false
-		if handle != nil {
-			ok = handle.Inject(p)
-		} else {
-			ok = e.Inject(p)
-		}
-		if ok {
-			sent++
-		} else {
-			e.PutPacket(p)
-			runtime.Gosched()
-		}
-	}
-	if handle != nil {
-		for handle.Len() > 0 && !time.Now().After(deadline) {
-			runtime.Gosched()
-		}
-		handle.Close()
 	}
 	if inj != nil {
 		// The fail-open bypass races the restart ladder: every Failed
@@ -189,28 +175,14 @@ func runFIFO(ctx RunCtx) (Outcome, error) {
 				return d.Kind == dataplane.DecisionCircuitOpen
 			}) > 0
 		}
-		for extra := 0; extra < total && !time.Now().After(deadline); {
-			if extra%64 == 0 && opened() {
+		for extra := 0; extra < total; extra++ {
+			if (extra%64 == 0 && opened()) || !offerNext() {
 				break
-			}
-			if l := e.LedgerSnapshot(); l.Residual() >= inflight {
-				runtime.Gosched()
-				continue
-			}
-			p := e.GetPacket()
-			p.FlowID = sent % nFlows
-			p.Size = 64
-			p.Frame = binary.LittleEndian.AppendUint64(p.Frame[:0], uint64(sent/nFlows))
-			if e.Inject(p) {
-				sent++
-				extra++
-			} else {
-				e.PutPacket(p)
-				runtime.Gosched()
 			}
 		}
 	}
-	settled := injected && waitSettled(e, 60*time.Second)
+	handle.Close()
+	settled := injected && waitSettled(e, sent, 60*time.Second)
 	if err := run.stop(30 * time.Second); err != nil {
 		return Outcome{}, err
 	}

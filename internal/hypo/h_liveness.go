@@ -58,7 +58,7 @@ func runLiveness(ctx RunCtx) (Outcome, error) {
 	total := ctx.N(2500 * chains)
 	deadline := time.Now().Add(120 * time.Second)
 	injected := injectPaced(e, chains, total, inflight, deadline)
-	settled := injected && waitSettled(e, 60*time.Second)
+	settled := injected && waitSettled(e, total, 60*time.Second)
 	maxDepth := sampler.Stop()
 	if err := run.stop(30 * time.Second); err != nil {
 		return Outcome{}, err

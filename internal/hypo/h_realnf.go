@@ -12,7 +12,6 @@ package hypo
 // mismatch even when the packet-count invariants all pass.
 
 import (
-	"runtime"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -111,7 +110,7 @@ func runRealNFLiveness(ctx RunCtx) (Outcome, error) {
 	total := ctx.N(2000 * chains)
 	deadline := time.Now().Add(120 * time.Second)
 	injected := injectFrames(e, chains, flowsPerChain, payloads, total, inflight, deadline)
-	settled := injected && waitSettled(e, 60*time.Second)
+	settled := injected && waitSettled(e, total, 60*time.Second)
 	maxDepth := sampler.Stop()
 	if err := run.stop(30 * time.Second); err != nil {
 		return Outcome{}, err
@@ -157,30 +156,22 @@ func injectFrames(e *dataplane.Engine, chains, flowsPerChain int, payloads [][]b
 	srcMAC := proto.MAC{2, 0, 0, 0, 0, 1}
 	dstMAC := proto.MAC{2, 0, 0, 0, 0, 2}
 	flows := chains * flowsPerChain
-	sent := 0
-	for sent < total {
-		if time.Now().After(deadline) {
-			return false
-		}
-		if l := e.LedgerSnapshot(); l.Residual() >= int64(inflight) {
-			runtime.Gosched()
-			continue
-		}
+	h := e.ProducerHandle(0)
+	defer h.Close()
+	for sent := 0; sent < total; sent++ {
 		f := sent % flows
-		p := e.GetPacket()
-		buf := p.Frame[:cap(p.Frame)]
-		n := proto.EncodeUDP(buf, srcMAC, dstMAC,
-			proto.Addr4(10, byte(f>>16), byte(f>>8), byte(f)),
-			proto.Addr4(198, 51, 100, 7),
-			uint16(20000+f%40000), 53, payloads[f])
-		p.Frame = buf[:n]
-		p.Size = n
-		p.FlowID = f % chains
-		if e.Inject(p) {
-			sent++
-		} else {
-			e.PutPacket(p)
-			runtime.Gosched()
+		ok := offerPaced(e, h, sent, inflight, deadline, func(p *dataplane.Packet) {
+			buf := p.Frame[:cap(p.Frame)]
+			n := proto.EncodeUDP(buf, srcMAC, dstMAC,
+				proto.Addr4(10, byte(f>>16), byte(f>>8), byte(f)),
+				proto.Addr4(198, 51, 100, 7),
+				uint16(20000+f%40000), 53, payloads[f])
+			p.Frame = buf[:n]
+			p.Size = n
+			p.FlowID = f % chains
+		})
+		if !ok {
+			return false
 		}
 	}
 	return true

@@ -95,6 +95,7 @@ func runRealChainBench(b *testing.B, e *dataplane.Engine, fill func(p *dataplane
 		}
 		received.Add(int64(len(ps)))
 	})
+	h := e.ProducerHandle(0)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go e.Run(ctx)
@@ -118,7 +119,11 @@ func runRealChainBench(b *testing.B, e *dataplane.Engine, fill func(p *dataplane
 				fill(p, (injected+i)%realBenchFlows)
 				batch[i] = p
 			}
-			injected += e.InjectBatch(batch[:n])
+			k := h.InjectBatch(batch[:n])
+			injected += k
+			for _, p := range batch[k:n] {
+				cache.Put(p) // lane full: the tail is ours, refill it next pass
+			}
 		} else {
 			runtime.Gosched()
 		}
@@ -166,6 +171,7 @@ func TestRealNFChainZeroAllocs(t *testing.T) {
 		}
 		received.Add(int64(len(ps)))
 	})
+	h := e.ProducerHandle(0)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go e.Run(ctx)
@@ -180,7 +186,9 @@ func TestRealNFChainZeroAllocs(t *testing.T) {
 			fill(p, (sent+i)%realBenchFlows)
 			batch[i] = p
 		}
-		sent += e.InjectBatch(batch)
+		for rem := batch; len(rem) > 0; rem = rem[h.InjectBatch(rem):] {
+		}
+		sent += len(batch)
 		for int(received.Load()) < sent {
 			runtime.Gosched()
 		}
