@@ -1,8 +1,17 @@
-// Package bp implements NFVnice's backpressure machinery: the per-NF
+// Package bp implements NFVnice's backpressure policy: the per-NF
 // hysteresis state machine of the paper's Figure 4 (watch list → packet
 // throttle → clear throttle), the cross-chain throttle table that enables
-// service-chain-specific packet dropping at chain entry points, and the
-// ECN marker for responsive flows crossing host boundaries.
+// service-chain-specific packet dropping at chain entry points, the
+// Controller that steps both over a chain topology and selects the upstream
+// stages that should yield, and the ECN marker and observer for responsive
+// flows crossing host boundaries.
+//
+// The Controller is substrate-free — observations in, edges out — and has two
+// callers that must stay in agreement: the simulated manager's wakeup thread
+// (internal/mgr) and the live engine's control loop (internal/dataplane,
+// updateBackpressure). They differ only in Params.QueueTimeThreshold;
+// internal/dataplane's TestPolicyDifferential holds them to identical
+// decisions.
 package bp
 
 import (

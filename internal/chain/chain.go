@@ -27,25 +27,6 @@ func (c *Chain) NFAt(hop int) int { return c.NFs[hop] }
 // Entry returns the first NF id — where cross-chain backpressure sheds load.
 func (c *Chain) Entry() int { return c.NFs[0] }
 
-// Position reports the hop index of nf in the chain, or -1.
-func (c *Chain) Position(nf int) int {
-	for i, id := range c.NFs {
-		if id == nf {
-			return i
-		}
-	}
-	return -1
-}
-
-// Upstream reports the NF ids strictly before hop pos — the NFs whose work
-// is wasted if the packet dies at pos.
-func (c *Chain) Upstream(pos int) []int {
-	if pos <= 0 {
-		return nil
-	}
-	return c.NFs[:pos]
-}
-
 func (c *Chain) String() string {
 	return fmt.Sprintf("chain%d%v", c.ID, c.NFs)
 }
@@ -53,12 +34,11 @@ func (c *Chain) String() string {
 // Registry holds all configured chains, indexed by id.
 type Registry struct {
 	chains []*Chain
-	byNF   map[int][]*Chain
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{byNF: make(map[int][]*Chain)}
+	return &Registry{}
 }
 
 // Add registers a chain and returns it. Chain IDs are assigned densely in
@@ -77,9 +57,6 @@ func (r *Registry) Add(name string, nfs ...int) (*Chain, error) {
 	}
 	c := &Chain{ID: len(r.chains), Name: name, NFs: append([]int(nil), nfs...)}
 	r.chains = append(r.chains, c)
-	for _, id := range nfs {
-		r.byNF[id] = append(r.byNF[id], c)
-	}
 	return c, nil
 }
 
@@ -105,7 +82,3 @@ func (r *Registry) Len() int { return len(r.chains) }
 
 // All returns every chain in id order.
 func (r *Registry) All() []*Chain { return r.chains }
-
-// ChainsThrough reports every chain that includes the NF — the set the
-// manager must throttle when that NF becomes a bottleneck.
-func (r *Registry) ChainsThrough(nf int) []*Chain { return r.byNF[nf] }

@@ -30,38 +30,11 @@ func TestChainValidation(t *testing.T) {
 	}
 }
 
-func TestPositionsAndUpstream(t *testing.T) {
+func TestAccessors(t *testing.T) {
 	r := NewRegistry()
 	c := r.MustAdd("abc", 10, 20, 30)
 	if c.Len() != 3 || c.Entry() != 10 || c.NFAt(2) != 30 {
 		t.Fatal("basic accessors wrong")
-	}
-	if c.Position(20) != 1 || c.Position(99) != -1 {
-		t.Fatal("Position wrong")
-	}
-	up := c.Upstream(2)
-	if len(up) != 2 || up[0] != 10 || up[1] != 20 {
-		t.Fatalf("Upstream = %v", up)
-	}
-	if c.Upstream(0) != nil {
-		t.Fatal("Upstream(0) should be nil")
-	}
-}
-
-func TestChainsThrough(t *testing.T) {
-	// The Fig 8 topology: chain1 = NF1,NF2,NF4; chain2 = NF1,NF3,NF4.
-	r := NewRegistry()
-	c1 := r.MustAdd("chain1", 1, 2, 4)
-	c2 := r.MustAdd("chain2", 1, 3, 4)
-	through1 := r.ChainsThrough(1)
-	if len(through1) != 2 || through1[0] != c1 || through1[1] != c2 {
-		t.Fatalf("ChainsThrough(1) = %v", through1)
-	}
-	if got := r.ChainsThrough(3); len(got) != 1 || got[0] != c2 {
-		t.Fatalf("ChainsThrough(3) = %v", got)
-	}
-	if got := r.ChainsThrough(99); got != nil {
-		t.Fatalf("ChainsThrough(99) = %v", got)
 	}
 }
 

@@ -9,6 +9,11 @@
 // touches the data path; it reads shared meters and writes cpu.shares, the
 // same separation of load estimation from CPU allocation the paper insists
 // on (sysfs writes cost ~5 µs and must stay off the packet path).
+//
+// The allocation formula itself is the pure function Shares (shares.go). It
+// has two callers: this package's weightTick, over the simulated NFs of each
+// cpusched core, and the live engine's updateWeights (internal/dataplane),
+// over the stages of each scheduler core.
 package core
 
 import (
@@ -73,6 +78,9 @@ type Controller struct {
 
 	entries []*nfEntry
 	byCore  map[*cpusched.Core][]*nfEntry
+	// demands and shares are weightTick's per-core scratch.
+	demands []Demand
+	shares  []int
 
 	// Loads exposes the latest smoothed load per NF id (for metrics).
 	Loads []float64
@@ -147,32 +155,17 @@ func (c *Controller) monitorTick() {
 // weightTick converts loads into cpu.shares per core.
 func (c *Controller) weightTick() {
 	for _, entries := range c.byCore {
-		var total float64
+		c.demands = c.demands[:0]
 		for _, e := range entries {
-			if e.load > 0 {
-				total += e.load * e.nf.Priority
-			} else {
-				// An NF without a load estimate yet (estimator still
-				// warming) is treated as carrying a default share of the
-				// core so its weight stays at the kernel default rather
-				// than being floored into starvation.
-				total += float64(cgroups.DefaultShares) / float64(c.params.ShareScale)
-			}
+			c.demands = append(c.demands, Demand{Load: e.load, Priority: e.nf.Priority})
 		}
-		if total <= 0 {
-			continue
-		}
-		for _, e := range entries {
-			if e.load <= 0 {
-				continue // leave the default cpu.shares in place
+		c.shares = Shares(c.shares, c.demands, c.params.ShareScale, c.params.MinShare)
+		for i, e := range entries {
+			if c.shares[i] == KeepShares {
+				continue
 			}
-			frac := e.load * e.nf.Priority / total
-			shares := int(frac * float64(c.params.ShareScale))
-			if shares < c.params.MinShare {
-				shares = c.params.MinShare
-			}
-			if c.fs.SetShares(e.group, shares) > 0 && c.OnShares != nil {
-				c.OnShares(e.nf.ID, shares, c.eng.Now())
+			if c.fs.SetShares(e.group, c.shares[i]) > 0 && c.OnShares != nil {
+				c.OnShares(e.nf.ID, c.shares[i], c.eng.Now())
 			}
 		}
 	}

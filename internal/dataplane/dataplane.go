@@ -1,5 +1,5 @@
 // Package dataplane is a real (non-simulated) concurrent service-chain
-// runtime implementing NFVnice's control algorithms with goroutines: stages
+// runtime running NFVnice's control algorithms with goroutines: stages
 // (NFs) connected by lock-free rings, a weighted-fair cooperative scheduler
 // standing in for cgroup-weighted CFS, watermark backpressure with
 // chain-entry shedding, and yield flags checked at batch boundaries.
@@ -8,7 +8,12 @@
 // evaluation against faithful kernel-scheduler models, this package shows
 // the same control plane working against wall-clock time: rate-cost
 // proportional weights equalize throughput of unequal-cost stages, and
-// backpressure sheds load at chain entries instead of wasting work.
+// backpressure sheds load at chain entries instead of wasting work. It is
+// literally the same control plane: the backpressure decisions are
+// internal/bp's Controller and the weights internal/core's Shares over
+// internal/stats' median window, the code the simulator validates against
+// the paper; this package only gathers their inputs from live rings and
+// counters and applies their outputs to atomics.
 //
 // The steady-state hot path is allocation-free and batch-amortized, the
 // regime the paper's ≤32-packet grant quantum targets: packet descriptors
@@ -55,7 +60,12 @@ import (
 	"sync/atomic"
 	"time"
 
+	"nfvnice/internal/bp"
+	"nfvnice/internal/core"
+	"nfvnice/internal/nf"
 	"nfvnice/internal/ring"
+	"nfvnice/internal/simtime"
+	"nfvnice/internal/stats"
 	"nfvnice/internal/telemetry"
 )
 
@@ -266,7 +276,8 @@ type StageStats struct {
 	Weight   int64
 	// Busy is cumulative handler wall time.
 	Busy time.Duration
-	// EstCost is the controller's smoothed per-packet cost estimate.
+	// EstCost is the controller's per-packet cost estimate: the median of
+	// its per-tick samples over the last 100 ms (0 until measured).
 	EstCost time.Duration
 	// QueueDrops counts packets dropped at this stage's full receive ring;
 	// Wasted counts packets this stage processed that died downstream (the
@@ -342,8 +353,12 @@ type stage struct {
 	_          ring.Pad
 
 	pass float64 // WFQ virtual time, owned by the scheduler goroutine
-	// estCost is the smoothed ns/packet estimate as Float64bits: written
-	// only by the controller, but read by Stats while the engine runs.
+	// costEst is the service-time estimator the simulator's NFs use — the
+	// median over a moving window — fed one busy/processed sample per weight
+	// tick, in costUnit per packet, on the control goroutine only. estCost
+	// publishes its value as Float64bits of ns/packet (0 until measured) for
+	// Stats to read while the engine runs.
+	costEst  *stats.MedianWindow
 	estCost  atomic.Uint64
 	lastArr  uint64
 	lastBusy int64
@@ -505,15 +520,19 @@ type Engine struct {
 	// (movers carry their own; see recycler in pool.go).
 	drainRC *recycler
 
-	// drainBuf is the shutdown drain's tx scratch (the serial moveAll);
-	// over/under, depths, wLoads and wTotals are control-loop scratch, all
-	// hoisted out of the steady-state loops so they allocate once.
+	// drainBuf is the shutdown drain's tx scratch (the serial moveAll).
 	drainBuf []*Packet
-	over     []bool
-	under    []bool
-	depths   []int
-	wLoads   []float64
-	wTotals  []float64
+
+	// The control plane's policy state, built by initControl and owned by
+	// the control goroutine: bp is the backpressure controller the simulated
+	// manager also runs (internal/bp), bpObs its per-stage observation
+	// scratch; byCore groups the stages per scheduler core for the share
+	// computation, wDemands and wShares are its per-core scratch.
+	bp       *bp.Controller
+	bpObs    []bp.Observation
+	byCore   [][]*stage
+	wDemands []core.Demand
+	wShares  []int
 
 	// rec is the flight recorder's span machinery (nil unless
 	// Config.TraceSampleShift > 0); spanSink optionally receives completed
@@ -685,9 +704,10 @@ func (e *Engine) AddBatchStageOn(name string, weight int64, core int, fn BatchHa
 		fn:   fn,
 		rx:   ring.NewMPMC[*Packet](e.cfg.RingSize),
 		tx:   ring.NewMPMC[*Packet](e.cfg.RingSize),
+		// The same window the simulated manager estimates over (100 ms).
+		costEst: stats.NewMedianWindow(nf.DefaultParams().SampleWindow),
 	}
 	s.weight.Store(weight)
-	s.estCost.Store(math.Float64bits(float64(time.Microsecond))) // prior until measured
 	s.health.Store(int32(Healthy))
 	e.stages = append(e.stages, s)
 	return s.id
@@ -823,12 +843,7 @@ func (e *Engine) Run(ctx context.Context) {
 	if !e.running.CompareAndSwap(false, true) {
 		panic("dataplane: Run called twice")
 	}
-	e.startWall = time.Now()
-	e.over = make([]bool, len(e.stages))
-	e.under = make([]bool, len(e.stages))
-	e.depths = make([]int, len(e.stages))
-	e.wLoads = make([]float64, len(e.stages))
-	e.wTotals = make([]float64, e.cfg.Cores)
+	e.initControl()
 	e.moverStop = make(chan struct{})
 	// Partition the stages across the TX shards before any worker can
 	// publish into a tx ring (workers wake their stage's owning mover).
@@ -1287,146 +1302,107 @@ func (e *Engine) deliver(run []*Packet, rc *recycler) {
 	}
 }
 
-// updateBackpressure applies the watermark state machine: a chain sheds at
-// entry while any of its stages' receive queues is above the high watermark,
-// and clears when all are below the low one. Upstream yield flags follow the
-// same rule as the simulator: set only when every chain through the stage is
-// throttled and the stage sits upstream of a bottleneck. Every throttle edge
-// is journaled and logged with its cause — the queue depth observed against
-// the watermarks at decision time.
+// initControl fixes the topology for the control plane: Run calls it once
+// every stage and chain is registered.
+func (e *Engine) initControl() {
+	e.startWall = time.Now()
+	// The simulated manager's controller, with one parameter different: the
+	// engine sees depth only at the tick, not how long a queue has been above
+	// its watermark, so it throttles on the first over-watermark sample.
+	e.bp = bp.NewController(bp.Params{QueueTimeThreshold: 0},
+		len(e.stages), e.chains, bp.NewChainThrottles())
+	e.bpObs = make([]bp.Observation, len(e.stages))
+	e.byCore = make([][]*stage, e.cfg.Cores)
+	for _, s := range e.stages {
+		e.byCore[s.core] = append(e.byCore[s.core], s)
+	}
+}
+
+// updateBackpressure samples every stage's receive queue against the
+// watermarks, steps the backpressure controller, and applies what it
+// decided: chain-entry gates, one journaled Decision per gate edge naming
+// the stage that raised or released it with the depth observed there, and
+// the upstream yield flags.
 func (e *Engine) updateBackpressure() {
-	over, under, depths := e.over, e.under, e.depths
 	for i, s := range e.stages {
 		l := s.rx.Len()
-		depths[i] = l
-		over[i] = l >= e.highWater
-		under[i] = l < e.lowWater
+		o := bp.Observation{AboveHigh: l >= e.highWater, BelowLow: l < e.lowWater, Depth: l}
 		if s.rem != nil && s.rem.ecnActive.Load() {
 			// The peer engine is congested (sustained ECN echoes): treat the
 			// remote stage as over watermark regardless of local depth, so
 			// the chain throttles at its origin before the pipe fills — the
 			// paper's §3.4 cross-host backpressure. The signal also holds
-			// the throttle (under stays false) until the echoes quiesce.
-			over[i] = true
-			under[i] = false
+			// the throttle (never below low) until the echoes quiesce.
+			o.AboveHigh, o.BelowLow = true, false
 		}
+		e.bpObs[i] = o
 	}
-	for ci, chain := range e.chains {
-		if e.throttled[ci].Load() {
-			all := true
-			// deepest tracks the fullest queue on the chain so the bp_off
-			// record names where the pressure drained from.
-			deepest := chain[0]
-			for _, sid := range chain {
-				if depths[sid] > depths[deepest] {
-					deepest = sid
-				}
-				if !under[sid] {
-					all = false
-					break
-				}
+	for _, ed := range e.bp.Step(e.bpObs) {
+		st := e.stages[ed.Stage]
+		d := Decision{Kind: DecisionBPOff, Chain: ed.Chain,
+			Stage: st.name, QueueDepth: e.bpObs[ed.Stage].Depth,
+			HighWater: e.highWater, LowWater: e.lowWater}
+		if ed.On {
+			d.Kind = DecisionBPOn
+			// A remote stage's throttle edge names its cause: the link
+			// condition (credit exhaustion, peer ECN, outage) behind the
+			// pressure, or "" for a plain deep queue.
+			if st.rem != nil {
+				d.Note = st.rem.bpCause()
 			}
-			if all {
-				e.throttled[ci].Store(false)
-				e.record(Decision{Kind: DecisionBPOff, Chain: ci,
-					Stage: e.stages[deepest].name, QueueDepth: depths[deepest],
-					HighWater: e.highWater, LowWater: e.lowWater})
-			}
-		} else {
-			for _, sid := range chain {
-				if over[sid] {
-					st := e.stages[sid]
-					// A remote stage's throttle edge names its cause: the
-					// link condition (credit exhaustion, peer ECN, outage)
-					// behind the pressure, or "" for a plain deep queue.
-					note := ""
-					if st.rem != nil {
-						note = st.rem.bpCause()
-					}
-					// Journal first: whoever observes the gate closed finds
-					// its cause already recorded.
-					e.record(Decision{Kind: DecisionBPOn, Chain: ci,
-						Stage: st.name, QueueDepth: depths[sid],
-						HighWater: e.highWater, LowWater: e.lowWater,
-						Note: note})
-					e.ThrottleEvents.Add(1)
-					e.throttled[ci].Store(true)
-					break
-				}
-			}
+			e.ThrottleEvents.Add(1)
 		}
+		// Journal first: whoever observes the gate closed finds its cause
+		// already recorded.
+		e.record(d)
+		e.throttled[ed.Chain].Store(ed.On)
 	}
-	for sid, s := range e.stages {
-		yield := false
-		for ci, chain := range e.chains {
-			pos := -1
-			for i, id := range chain {
-				if id == sid {
-					pos = i
-					break
-				}
-			}
-			if pos < 0 {
-				continue
-			}
-			if !e.throttled[ci].Load() {
-				yield = false
-				break
-			}
-			upstreamOfBottleneck := false
-			for i := pos + 1; i < len(chain); i++ {
-				if over[chain[i]] {
-					upstreamOfBottleneck = true
-					break
-				}
-			}
-			yield = upstreamOfBottleneck
-			if !yield {
-				break
-			}
-		}
-		s.yield.Store(yield)
+	for i, s := range e.stages {
+		s.yield.Store(e.bp.Yield(i))
 	}
 }
 
-// updateWeights is the rate-cost proportional controller: weight_i ∝
-// arrivals_i × estimated cost_i, with an EWMA cost estimate from measured
-// handler time.
-func (e *Engine) updateWeights() {
-	loads, totals := e.wLoads, e.wTotals
-	for i := range totals {
-		totals[i] = 0
-	}
-	for i, s := range e.stages {
-		arr := s.arrivals.Load()
-		busy := s.busyNanos.Load()
-		proc := s.processed.Load()
-		dArr := arr - s.lastArr
-		dBusy := busy - s.lastBusy
-		dProc := proc - s.lastProc
-		s.lastArr, s.lastBusy, s.lastProc = arr, busy, proc
-		cost := math.Float64frombits(s.estCost.Load())
-		if dProc > 0 {
-			sample := float64(dBusy) / float64(dProc)
-			cost = 0.3*sample + 0.7*cost
+// costUnit is the estimator's sample resolution, picoseconds per packet:
+// whole nanoseconds would quantize a ~10 ns no-op stage by 10 %.
+const costUnit = 1000
+
+// updateWeights is the rate-cost proportional controller: each stage's
+// measured handler time per packet since the last tick feeds its median
+// estimator, load_i = λ_i·s_i is expressed in fractional cores, and the
+// simulator's share function turns each core's loads into weights. elapsed
+// is the time since the previous call.
+func (e *Engine) updateWeights(now time.Time, elapsed time.Duration) {
+	at := simtime.FromDuration(now.Sub(e.startWall))
+	p := core.DefaultParams()
+	for _, stages := range e.byCore {
+		e.wDemands = e.wDemands[:0]
+		for _, s := range stages {
+			arr := s.arrivals.Load()
+			busy := s.busyNanos.Load()
+			proc := s.processed.Load()
+			dArr := arr - s.lastArr
+			dBusy := busy - s.lastBusy
+			dProc := proc - s.lastProc
+			s.lastArr, s.lastBusy, s.lastProc = arr, busy, proc
+			if dProc > 0 {
+				s.costEst.Observe(at, uint64(dBusy)*costUnit/dProc)
+			}
+			cost := float64(s.costEst.Median(at)) / costUnit // ns/packet
 			s.estCost.Store(math.Float64bits(cost))
+			e.wDemands = append(e.wDemands, core.Demand{
+				Load: float64(dArr) * cost / float64(elapsed), Priority: 1})
 		}
-		loads[i] = float64(dArr) * cost
-		totals[s.core] += loads[i]
-	}
-	const scale = 10 * 1024
-	for i, s := range e.stages {
-		if totals[s.core] <= 0 {
-			continue
-		}
-		w := int64(loads[i] / totals[s.core] * scale)
-		if w < scale/100 {
-			w = scale / 100
-		}
-		if old := s.weight.Swap(w); old != w {
-			e.record(Decision{Kind: DecisionWeight, Chain: -1, Stage: s.name,
-				Load: loads[i], CostNanos: math.Float64frombits(s.estCost.Load()),
-				OldWeight: old, NewWeight: w})
+		e.wShares = core.Shares(e.wShares, e.wDemands, p.ShareScale, p.MinShare)
+		for i, s := range stages {
+			if e.wShares[i] == core.KeepShares {
+				continue
+			}
+			w := int64(e.wShares[i])
+			if old := s.weight.Swap(w); old != w {
+				e.record(Decision{Kind: DecisionWeight, Chain: -1, Stage: s.name,
+					Load: e.wDemands[i].Load, CostNanos: math.Float64frombits(s.estCost.Load()),
+					OldWeight: old, NewWeight: w})
+			}
 		}
 	}
 }

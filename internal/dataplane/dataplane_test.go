@@ -237,8 +237,10 @@ func TestThrottleClears(t *testing.T) {
 		t.Skip("wall-clock test")
 	}
 	e := New(Config{RingSize: 128, BatchSize: 8, WeightPeriod: 0})
+	// One bottleneck at the entry; the tail behind it never queues.
 	slow := e.AddStage("slow", 1024, func(p *Packet) { spin(50 * time.Microsecond) })
-	ch, _ := e.AddChain(slow)
+	tail := e.AddStage("tail", 1024, func(p *Packet) {})
+	ch, _ := e.AddChain(slow, tail)
 	e.MapFlow(0, ch)
 	h := e.ProducerHandle(0)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -261,6 +263,25 @@ func TestThrottleClears(t *testing.T) {
 	}
 	if e.Throttled(ch) {
 		t.Fatal("throttle never cleared after drain")
+	}
+	// Every release is journaled against the stage whose machine held the
+	// claim — the bottleneck that raised it — not whichever queue happened
+	// to be deepest when the chain cleared.
+	edges := e.Decisions().Filter(0, func(d Decision) bool {
+		return d.Kind == DecisionBPOn || d.Kind == DecisionBPOff
+	})
+	if len(edges) < 2 {
+		t.Fatalf("journal holds %d backpressure edges, want an on/off pair", len(edges))
+	}
+	for i, d := range edges {
+		wantKind := DecisionBPOn
+		if i%2 == 1 {
+			wantKind = DecisionBPOff
+		}
+		if d.Kind != wantKind || d.Chain != ch || d.Stage != "slow" {
+			t.Fatalf("edge %d = %v chain %d stage %q, want %v chain %d stage \"slow\"",
+				i, d.Kind, d.Chain, d.Stage, wantKind, ch)
+		}
 	}
 }
 

@@ -109,8 +109,8 @@ type Decision struct {
 	HighWater  int `json:"high_water,omitempty"`
 	LowWater   int `json:"low_water,omitempty"`
 
-	// Weight cause: the controller's load share (arrivals × cost) and
-	// smoothed per-packet cost estimate behind the push.
+	// Weight cause: the stage's load (arrival rate × cost, in fractional
+	// cores) and median per-packet cost estimate behind the push.
 	Load      float64 `json:"load,omitempty"`
 	CostNanos float64 `json:"cost_ns,omitempty"`
 	OldWeight int64   `json:"old_weight,omitempty"`

@@ -320,7 +320,7 @@ func (e *Engine) controlLoop(ctx context.Context) {
 		e.drainSpool()
 		e.supervise(now.UnixNano())
 		if e.cfg.WeightPeriod > 0 && now.Sub(lastW) >= e.cfg.WeightPeriod {
-			e.updateWeights()
+			e.updateWeights(now, now.Sub(lastW))
 			lastW = now
 		}
 		time.Sleep(tick)

@@ -20,9 +20,11 @@ package dataplane
 //   - ECN echo: the peer samples its own queue occupancy per ack
 //     (CongestionSignal) and sets the CE flag; the client surfaces each
 //     echo, and the control loop's ECNObserver (internal/bp) converts the
-//     echo stream into a sustained congestion signal that forces the remote
-//     stage "over watermark" so the origin throttles before the pipe even
-//     fills (cause "remote_ecn").
+//     echo stream into a sustained congestion signal. updateBackpressure
+//     reports the remote stage to the shared bp.Controller as above HIGH and
+//     never below LOW while the signal holds, so the origin throttles before
+//     the pipe even fills (cause "remote_ecn") and stays throttled until the
+//     echoes quiesce — an override of the observation, not of the policy.
 //   - Link supervision: a lost connection puts the stage in Degraded while
 //     the client re-dials under exponential backoff with seeded jitter
 //     (packets keep buffering in the send queue — the outage is absorbed,

@@ -124,13 +124,15 @@ type Manager struct {
 	Chains *chain.Registry
 	Params Params
 
-	nfs      []*nf.NF
-	bpStates []bp.NFState
-	// throttledBy records, per NF, the chain IDs it currently throttles
-	// so disable edges release exactly what enable claimed.
-	throttledBy [][]int
-	Throttles   *bp.ChainThrottles
-	ecn         []*bp.ECNMarker
+	nfs []*nf.NF
+	// bp is the backpressure policy (state machines, chain claims, yield
+	// selection), built by Start over the topology declared until then;
+	// bpObs is its per-NF observation scratch. Throttles is the claim table
+	// it counts in, which Inject reads at chain entry.
+	bp        *bp.Controller
+	bpObs     []bp.Observation
+	Throttles *bp.ChainThrottles
+	ecn       []*bp.ECNMarker
 
 	sinks map[int]Sink
 
@@ -148,13 +150,10 @@ type Manager struct {
 	QueueDrops []stats.Meter
 	// PoolDrops counts NIC-level drops from descriptor exhaustion.
 	PoolDrops stats.Meter
-	// OnThrottle, when set, observes backpressure enable/disable edges
-	// per NF (tracing).
-	OnThrottle func(nfID int, enabled bool, now simtime.Cycles)
 	// OnBPTransition, when set, observes every Figure-4 state-machine edge
 	// with its cause (watermark conditions and time-above-high at decision
-	// time) — finer-grained than OnThrottle, which only sees the
-	// enable/disable edges. Decision-journal provenance.
+	// time). Backpressure engages on the edge into bp.PacketThrottle and
+	// releases on the edge out of it. Decision-journal provenance.
 	OnBPTransition func(nfID int, tr bp.Transition)
 	// OnECNMark, when set, observes every CE mark applied at an NF's queue
 	// (telemetry). Set before AddNF calls take effect on later NFs; the
@@ -189,13 +188,6 @@ func (m *Manager) AddNF(n *nf.NF) {
 		panic(fmt.Sprintf("mgr: NF %q has id %d, want %d (dense registration)", n.Name, n.ID, len(m.nfs)))
 	}
 	m.nfs = append(m.nfs, n)
-	nfIdx := n.ID
-	m.bpStates = append(m.bpStates, bp.NFState{Observer: func(tr bp.Transition) {
-		if m.OnBPTransition != nil {
-			m.OnBPTransition(nfIdx, tr)
-		}
-	}})
-	m.throttledBy = append(m.throttledBy, nil)
 	marker := bp.NewECNMarker(m.Params.ECNThreshold)
 	nfID := n.ID
 	marker.OnMark = func() {
@@ -227,15 +219,28 @@ func (m *Manager) NFs() []*nf.NF { return m.nfs }
 // RegisterSink attaches a per-flow observer.
 func (m *Manager) RegisterSink(flowID int, s Sink) { m.sinks[flowID] = s }
 
-// BPState exposes an NF's backpressure state for tests and metrics.
-func (m *Manager) BPState(nfID int) bp.State { return m.bpStates[nfID].State() }
+// BPState exposes an NF's backpressure state for tests and metrics (valid
+// once Start has run).
+func (m *Manager) BPState(nfID int) bp.State { return m.bp.State(nfID) }
 
-// Start arms the Tx and wakeup threads.
+// Start fixes the topology for the backpressure controller and arms the Tx
+// and wakeup threads; NFs and chains must be registered before it.
 func (m *Manager) Start() {
 	if m.started {
 		return
 	}
 	m.started = true
+	chains := make([][]int, m.Chains.Len())
+	for i, c := range m.Chains.All() {
+		chains[i] = c.NFs
+	}
+	m.bp = bp.NewController(m.Params.BP, len(m.nfs), chains, m.Throttles)
+	m.bp.Observer = func(nfID int, tr bp.Transition) {
+		if m.OnBPTransition != nil {
+			m.OnBPTransition(nfID, tr)
+		}
+	}
+	m.bpObs = make([]bp.Observation, len(m.nfs))
 	m.Eng.Every(m.Params.TxPollInterval, m.Params.TxPollInterval, m.txThread)
 	m.Eng.Every(m.Params.WakeupInterval, m.Params.WakeupInterval, m.wakeupThread)
 }
@@ -372,77 +377,32 @@ func (m *Manager) drainTx(now simtime.Cycles, src *nf.NF) {
 	}
 }
 
-// wakeupThread is the control half: advance backpressure state machines,
-// maintain yield flags, and wake eligible NFs.
+// wakeupThread is the control half: feed each NF's receive-ring condition to
+// the backpressure controller, apply the yield flags it selects, and wake
+// eligible NFs.
 func (m *Manager) wakeupThread() {
-	now := m.Eng.Now()
 	if m.Params.Features.Backpressure {
+		now := m.Eng.Now()
 		for i, n := range m.nfs {
-			st := &m.bpStates[i]
-			enable, disable := st.Update(m.Params.BP, n.Rx.AboveHigh(), n.Rx.BelowLow(), n.Rx.TimeAboveHigh(now))
-			switch {
-			case enable:
-				chains := m.Chains.ChainsThrough(n.ID)
-				ids := make([]int, 0, len(chains))
-				for _, c := range chains {
-					m.Throttles.Enable(c.ID)
-					ids = append(ids, c.ID)
-				}
-				m.throttledBy[i] = ids
-				if m.OnThrottle != nil {
-					m.OnThrottle(n.ID, true, now)
-				}
-			case disable:
-				for _, id := range m.throttledBy[i] {
-					m.Throttles.Disable(id)
-				}
-				m.throttledBy[i] = nil
-				if m.OnThrottle != nil {
-					m.OnThrottle(n.ID, false, now)
-				}
+			m.bpObs[i] = bp.Observation{
+				AboveHigh: n.Rx.AboveHigh(),
+				BelowLow:  n.Rx.BelowLow(),
+				TimeAbove: n.Rx.TimeAboveHigh(now),
 			}
 		}
-		m.recomputeYieldFlags()
+		m.bp.Step(m.bpObs)
+		for i, n := range m.nfs {
+			yield := m.bp.Yield(i)
+			if n.YieldFlag && !yield {
+				n.YieldFlag = false
+				m.maybeWake(n)
+			} else {
+				n.YieldFlag = yield
+			}
+		}
 	}
 	for _, n := range m.nfs {
 		m.maybeWake(n)
-	}
-}
-
-// recomputeYieldFlags sets YieldFlag on NFs that should relinquish the CPU:
-// an NF yields only when every chain it serves is throttled and it sits
-// strictly upstream of a throttling bottleneck in each of them. Shared NFs
-// with un-throttled chains keep running (the paper's Fig 8: NF1 keeps
-// serving chain 1 while chain 2 is back-pressured), and NFs downstream of a
-// bottleneck keep running to drain it.
-func (m *Manager) recomputeYieldFlags() {
-	for u, n := range m.nfs {
-		chains := m.Chains.ChainsThrough(n.ID)
-		yield := len(chains) > 0
-		for _, c := range chains {
-			if !m.Throttles.Throttled(c.ID) {
-				yield = false
-				break
-			}
-			posU := c.Position(u)
-			upstreamOfBottleneck := false
-			for _, b := range c.NFs {
-				if m.bpStates[b].State() == bp.PacketThrottle && posU < c.Position(b) {
-					upstreamOfBottleneck = true
-					break
-				}
-			}
-			if !upstreamOfBottleneck {
-				yield = false
-				break
-			}
-		}
-		if n.YieldFlag && !yield {
-			n.YieldFlag = false
-			m.maybeWake(n)
-		} else {
-			n.YieldFlag = yield
-		}
 	}
 }
 

@@ -8,7 +8,7 @@ package stats
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"nfvnice/internal/simtime"
 )
@@ -195,7 +195,7 @@ func (m *MedianWindow) Median(now simtime.Cycles) uint64 {
 	for _, s := range m.samples {
 		m.scratch = append(m.scratch, s.v)
 	}
-	sort.Slice(m.scratch, func(i, j int) bool { return m.scratch[i] < m.scratch[j] })
+	slices.Sort(m.scratch) // allocation-free: the live engine calls this every weight tick
 	return m.scratch[n/2]
 }
 

@@ -340,6 +340,9 @@ func (p *Platform) SetPriority(nfID int, prio float64) { p.nfs[nfID].Priority = 
 
 // AddChain registers a service chain over NF ids and returns the chain id.
 func (p *Platform) AddChain(name string, nfIDs ...int) int {
+	if p.started {
+		panic("nfvnice: AddChain after Run")
+	}
 	c := p.Chains.MustAdd(name, nfIDs...)
 	// The manager sized its per-chain meters at construction; re-grow.
 	p.Mgr.GrowChains(p.Chains.Len())
@@ -433,11 +436,7 @@ func (p *Platform) EnableTracing() *obs.Trace {
 // tracing composes with EnableTelemetry and repeated calls.
 func (p *Platform) EnableTraceTo(tr obs.Sink) {
 	p.addRunSpanHook(tr)
-	p.addThrottleHook(func(nfID int, enabled bool, now Cycles) {
-		state := "clear"
-		if enabled {
-			state = "throttle"
-		}
+	p.addThrottleHook(func(nfID int, state string, now Cycles) {
 		tr.Instant("bp-"+state, now, map[string]any{"nf": p.nfs[nfID].Name})
 	})
 	p.addSharesHook(func(nfID, shares int, now Cycles) {

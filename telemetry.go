@@ -122,21 +122,18 @@ func (p *Platform) EnableTelemetry() *Telemetry {
 
 	// Event log: every control-plane decision flows through here; sinks
 	// (AttachTrace) fan the same instrumentation points out to the trace.
-	p.addThrottleHook(func(nfID int, enabled bool, now Cycles) {
-		state := "clear"
-		lvl := telemetry.LevelInfo
-		if enabled {
-			state = "throttle"
-		}
-		t.Events.Emit(now.Seconds(), lvl, "backpressure",
-			telemetry.F("nf", p.nfs[nfID].Name), telemetry.F("state", state))
-	})
+	// Hooks run in registration order, so each throttle edge logs its
+	// bp_state cause before the backpressure event it produces.
 	p.addBPTransitionHook(func(nfID int, tr bp.Transition) {
 		t.Events.Emit(p.Eng.Now().Seconds(), telemetry.LevelDebug, "bp_state",
 			telemetry.F("nf", p.nfs[nfID].Name),
 			telemetry.F("from", tr.From.String()), telemetry.F("to", tr.To.String()),
 			telemetry.F("above_high", tr.AboveHigh), telemetry.F("below_low", tr.BelowLow),
 			telemetry.F("time_above_us", float64(tr.TimeAbove)/float64(simtime.Microsecond)))
+	})
+	p.addThrottleHook(func(nfID int, state string, now Cycles) {
+		t.Events.Emit(now.Seconds(), telemetry.LevelInfo, "backpressure",
+			telemetry.F("nf", p.nfs[nfID].Name), telemetry.F("state", state))
 	})
 	p.addSharesHook(func(nfID, shares int, now Cycles) {
 		t.Events.Emit(now.Seconds(), telemetry.LevelDebug, "cpu.shares",
@@ -209,16 +206,15 @@ func (p *Platform) addBPTransitionHook(fn func(nfID int, tr bp.Transition)) {
 	}
 }
 
-// addThrottleHook chains a backpressure observer onto the manager without
-// displacing previously registered ones.
-func (p *Platform) addThrottleHook(fn func(nfID int, enabled bool, now Cycles)) {
-	prev := p.Mgr.OnThrottle
-	p.Mgr.OnThrottle = func(nfID int, enabled bool, now Cycles) {
-		if prev != nil {
-			prev(nfID, enabled, now)
+// addThrottleHook observes only the edges on which backpressure engages or
+// releases — the transitions into and out of bp.PacketThrottle — as the
+// state entered, "throttle" or "clear".
+func (p *Platform) addThrottleHook(fn func(nfID int, state string, now Cycles)) {
+	p.addBPTransitionHook(func(nfID int, tr bp.Transition) {
+		if tr.To == bp.PacketThrottle || tr.From == bp.PacketThrottle {
+			fn(nfID, tr.To.String(), p.Eng.Now())
 		}
-		fn(nfID, enabled, now)
-	}
+	})
 }
 
 // addSharesHook chains a cpu.shares observer onto the controller.
