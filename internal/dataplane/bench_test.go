@@ -11,7 +11,7 @@ import (
 )
 
 // benchConfig is shared by the steady-state benchmarks so pre/post
-// comparisons in BENCH_dataplane.json measure the same topology.
+// comparisons measure the same topology.
 func benchConfig() Config {
 	return Config{RingSize: 4096, BatchSize: 256, WeightPeriod: 0}
 }

@@ -47,15 +47,19 @@
 // bypass the dead hop (fail-open). Every packet lost to a fault is charged
 // to an explicit drop class so accounting reconciles even across crashes
 // and shutdown.
+//
+// File map, one plane per file: config.go is the Config and its validation;
+// dataplane.go the Engine, stage, registration and Run; sched.go the per-core
+// scheduler and the workers it grants; mover.go the TX shards (moveStages,
+// deliver) with lanes.go their ingress side; control.go the backpressure and
+// weight step on the control loop; metrics.go the stats and telemetry surface.
 package dataplane
 
 import (
 	"context"
 	"errors"
-	"math"
 	"math/rand"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,7 +68,6 @@ import (
 	"nfvnice/internal/core"
 	"nfvnice/internal/nf"
 	"nfvnice/internal/ring"
-	"nfvnice/internal/simtime"
 	"nfvnice/internal/stats"
 	"nfvnice/internal/telemetry"
 )
@@ -125,174 +128,6 @@ type Handler func(*Packet)
 // worker recycles those and charges them to NFDrops. The slice is the
 // worker's scratch and must not be retained past the call.
 type BatchHandler func([]*Packet)
-
-// Config tunes the runtime.
-type Config struct {
-	// Cores is the number of scheduler loops; stages are assigned to a
-	// core with AddStageOn and contend only with co-resident stages, as
-	// NFs pinned to CPU cores do (default 1).
-	Cores int
-	// Movers is the number of TX-path mover goroutines (the paper's
-	// manager TX threads). Each mover owns a static partition of the
-	// stages' tx rings — stage i belongs to mover i mod Movers — so every
-	// tx ring keeps a single consumer and per-flow FIFO is preserved.
-	// 0 takes min(Cores, GOMAXPROCS). With Movers > 1 the Sink callback
-	// may be invoked concurrently from multiple movers.
-	Movers int
-	// BackpressurePeriod is the control plane's queue-length sampling
-	// cadence: how often the watermark backpressure state machine runs
-	// (the paper's 1 ms load-estimation interval; 0 takes the 1 ms
-	// default).
-	BackpressurePeriod time.Duration
-	// RingSize is each stage's receive/transmit ring capacity (rounded up
-	// to a power of two).
-	RingSize int
-	// BatchSize bounds packets processed per grant between yield checks.
-	BatchSize int
-	// HighFrac and LowFrac are the backpressure watermarks.
-	HighFrac, LowFrac float64
-	// WeightPeriod is the weight-push cadence: how often the rate-cost
-	// controller recomputes auto-weights (the paper's 10 ms interval;
-	// 0 disables the controller; manual SetWeight still works).
-	WeightPeriod time.Duration
-	// PoolSize caps the packet freelist (rounded up to a power of two;
-	// default 4×RingSize). Excess recycled packets are left to the GC.
-	PoolSize int
-	// FrameSize, when > 0, gives every pooled descriptor a wire-frame
-	// buffer of this capacity carved from one contiguous preallocated
-	// arena (PoolSize slots — the role OpenNetVM's shared huge-page
-	// mempool plays for the paper's NFs). Packet.Frame aliases the
-	// descriptor's slot for its whole pooled lifetime: frontends fill it
-	// in place, NFs mutate it in place, and recycling resets only its
-	// length, so the steady-state frame path allocates nothing. 0 (the
-	// default) leaves Frame nil and the arena unallocated.
-	FrameSize int
-
-	// GrantTimeout bounds how long the scheduler waits for a granted stage
-	// to finish its batch. A stage that overruns it is detached and marked
-	// Failed instead of wedging the core (0 takes the 100ms default;
-	// negative disables the deadline and restores unbounded waits).
-	GrantTimeout time.Duration
-	// DrainTimeout bounds the graceful shutdown drain: after ctx cancel,
-	// Run keeps granting and moving until the rings empty or the deadline
-	// passes, then sweeps leftovers into ShutdownDrops (0 takes the 500ms
-	// default; negative skips the drain and sweeps immediately).
-	DrainTimeout time.Duration
-	// RestartBackoff shapes the supervised-restart schedule: the k-th
-	// consecutive failure waits min(RestartBackoff<<(k-1), 500ms), plus
-	// jitter (default 2ms).
-	RestartBackoff time.Duration
-	// MaxRestarts is the circuit breaker: after this many consecutive
-	// failures the stage stays Failed permanently and its queue is drained
-	// into FaultDrops (0 takes the default of 8; negative means unlimited).
-	MaxRestarts int
-	// JitterSeed seeds the restart-backoff jitter PRNG so chaos runs are
-	// reproducible (0 takes seed 1).
-	JitterSeed int64
-	// DebugPool enables double-PutPacket and use-after-recycle detection
-	// on the packet freelist; violations panic with the offending stage.
-	// Costs one predictable branch per packet — leave off in production.
-	DebugPool bool
-
-	// TraceSampleShift enables the flight recorder's packet spans: 0 (the
-	// default) disables sampling entirely; a value s ≥ 1 samples 1 in 2^s
-	// injected packets and records per-hop timestamps into pooled spans
-	// (see trace.go). Disabled, the hot path stays zero-atomic and
-	// zero-allocation.
-	TraceSampleShift int
-	// TraceSpoolSize is the completed-span spool capacity and the number
-	// of preallocated span slabs (rounded up to a power of two; 0 takes
-	// 1024). Overflow drops are counted, never blocked on.
-	TraceSpoolSize int
-	// DecisionJournalSize is the control-plane decision journal capacity
-	// (0 takes 1024; negative disables the journal). The journal records
-	// every backpressure, weight and supervision decision with its cause;
-	// query it with Engine.Decisions or over HTTP via AddDebugEndpoints.
-	DecisionJournalSize int
-}
-
-// DefaultConfig mirrors the paper's platform parameters (1 ms load
-// estimation, 10 ms weight push). Movers is left 0 — New resolves it to
-// min(Cores, GOMAXPROCS).
-func DefaultConfig() Config {
-	return Config{
-		Cores:              1,
-		RingSize:           4096,
-		BatchSize:          32,
-		HighFrac:           0.80,
-		LowFrac:            0.60,
-		BackpressurePeriod: time.Millisecond,
-		WeightPeriod:       10 * time.Millisecond,
-		GrantTimeout:       100 * time.Millisecond,
-		DrainTimeout:       500 * time.Millisecond,
-		RestartBackoff:     2 * time.Millisecond,
-		MaxRestarts:        8,
-		JitterSeed:         1,
-	}
-}
-
-// Validate reports the first nonsensical setting in the config, before
-// zero-value defaulting is applied. Fields where a negative value selects
-// documented behaviour (GrantTimeout, DrainTimeout, MaxRestarts) are not
-// flagged. New panics on an invalid config; call Validate first to handle
-// bad configs gracefully.
-func (cfg Config) Validate() error {
-	switch {
-	case cfg.Cores < 0:
-		return errors.New("dataplane: Cores must be >= 0")
-	case cfg.Movers < 0:
-		return errors.New("dataplane: Movers must be >= 0")
-	case cfg.RingSize < 0:
-		return errors.New("dataplane: RingSize must be >= 0")
-	case cfg.BatchSize < 0:
-		return errors.New("dataplane: BatchSize must be >= 0")
-	case cfg.BackpressurePeriod < 0:
-		return errors.New("dataplane: BackpressurePeriod must be >= 0")
-	case cfg.WeightPeriod < 0:
-		return errors.New("dataplane: WeightPeriod must be >= 0 (0 disables the controller)")
-	case cfg.HighFrac < 0 || cfg.HighFrac > 1:
-		return errors.New("dataplane: HighFrac must be in [0, 1]")
-	case cfg.LowFrac < 0 || cfg.LowFrac > 1:
-		return errors.New("dataplane: LowFrac must be in [0, 1]")
-	case cfg.HighFrac > 0 && cfg.LowFrac > 0 && cfg.LowFrac > cfg.HighFrac:
-		return errors.New("dataplane: LowFrac must not exceed HighFrac")
-	case cfg.FrameSize < 0:
-		return errors.New("dataplane: FrameSize must be >= 0")
-	case cfg.TraceSampleShift < 0 || cfg.TraceSampleShift > 32:
-		return errors.New("dataplane: TraceSampleShift must be in [0, 32]")
-	case cfg.TraceSpoolSize < 0:
-		return errors.New("dataplane: TraceSpoolSize must be >= 0")
-	}
-	return nil
-}
-
-// StageStats is a snapshot of one stage's counters.
-type StageStats struct {
-	Name      string
-	Processed uint64
-	// Arrivals counts packets offered to the stage, including ones that
-	// were then shed or dropped (offered load, the controller's λ).
-	Arrivals uint64
-	Weight   int64
-	// Busy is cumulative handler wall time.
-	Busy time.Duration
-	// EstCost is the controller's per-packet cost estimate: the median of
-	// its per-tick samples over the last 100 ms (0 until measured).
-	EstCost time.Duration
-	// QueueDrops counts packets dropped at this stage's full receive ring;
-	// Wasted counts packets this stage processed that died downstream (the
-	// paper's wasted-work metric).
-	QueueDrops uint64
-	Wasted     uint64
-	// Health is the supervision state; Restarts counts supervised worker
-	// respawns; FaultDrops counts packets lost in this stage's crashes,
-	// stalls and failed-queue drains; NFDrops counts packets the handler
-	// discarded via Packet.Drop.
-	Health     Health
-	Restarts   uint64
-	FaultDrops uint64
-	NFDrops    uint64
-}
 
 type stage struct {
 	id   int
@@ -742,8 +577,12 @@ func (e *Engine) SetChainPolicy(chainID int, p FailPolicy) {
 	e.chainPolicy[chainID] = p
 }
 
-// MapFlow routes a flow to a chain. Safe to call at any time.
+// MapFlow routes a flow to a chain. Safe to call at any time; it panics on a
+// chain AddChain never returned.
 func (e *Engine) MapFlow(flowID, chainID int) {
+	if chainID < 0 || chainID >= len(e.chains) {
+		panic("dataplane: MapFlow to unknown chain")
+	}
 	e.flowsMu.Lock()
 	defer e.flowsMu.Unlock()
 	next := make(map[int]int)
@@ -795,42 +634,6 @@ func (e *Engine) SetSink(fn func([]*Packet)) {
 	}
 	e.sink = fn
 }
-
-// Stats snapshots every stage.
-func (e *Engine) Stats() []StageStats {
-	out := make([]StageStats, len(e.stages))
-	for i, s := range e.stages {
-		out[i] = StageStats{
-			Name:       s.name,
-			Processed:  s.processed.Load(),
-			Arrivals:   s.arrivals.Load(),
-			Weight:     s.weight.Load(),
-			Busy:       time.Duration(s.busyNanos.Load()),
-			EstCost:    time.Duration(math.Float64frombits(s.estCost.Load())),
-			QueueDrops: s.drops.Load(),
-			Wasted:     s.wasted.Load(),
-			Health:     Health(s.health.Load()),
-			Restarts:   s.restarts.Load(),
-			FaultDrops: s.faultDrops.Load(),
-			NFDrops:    s.nfDrops.Load(),
-		}
-	}
-	return out
-}
-
-// LatencyStats reports the mean and maximum end-to-end sojourn time of
-// delivered packets, accurate to within one batch quantum (the coarse-clock
-// bound).
-func (e *Engine) LatencyStats() (mean, max time.Duration) {
-	n := e.Delivered.Load()
-	if n == 0 {
-		return 0, 0
-	}
-	return time.Duration(e.latSumNanos.Load() / int64(n)), time.Duration(e.latMaxNanos.Load())
-}
-
-// Throttled reports whether a chain is currently shed at entry.
-func (e *Engine) Throttled(chainID int) bool { return e.throttled[chainID].Load() }
 
 // Run operates the pipeline until ctx is canceled, then winds down in
 // order: a bounded drain (grant and move until the rings empty or
@@ -892,683 +695,4 @@ func (e *Engine) Run(ctx context.Context) {
 	timer := newGrantTimer()
 	defer timer.Stop()
 	e.shutdown(timer)
-}
-
-// worker runs a stage's handler under grants until its grant channel closes
-// or the incarnation is detached, moving packets rx→tx in bulk: one ring
-// reservation per dequeued batch and one per published batch.
-func (e *Engine) worker(s *stage, w *workerCtx) {
-	defer e.liveWorkers.Add(-1)
-	for budget := range w.grant {
-		res, exit := e.runGrant(s, w, budget)
-		if s.epoch.Load() != w.epoch {
-			// Detached while running: the scheduler stopped listening and
-			// a replacement may exist. Exit without signalling.
-			return
-		}
-		w.done <- res // cap 1: never blocks, even if the scheduler left
-		if exit {
-			return // handler panicked; the supervisor decides what's next
-		}
-	}
-}
-
-// runGrant executes one grant: up to budget packets in chunks of the
-// incarnation's scratch batch. Each chunk publishes its size in w.inflight
-// before running the handler; whoever Swap()s it to zero — this worker on
-// the happy path, the scheduler on detach, the final sweep at shutdown —
-// owns the accounting for those packets (see runBatch).
-func (e *Engine) runGrant(s *stage, w *workerCtx, budget int) (res grantResult, exit bool) {
-	start := time.Now()
-	n := 0
-	for n < budget {
-		want := budget - n
-		if want > len(w.batch) {
-			want = len(w.batch)
-		}
-		k := s.rx.DequeueBatch(w.batch[:want])
-		if k == 0 {
-			break
-		}
-		w.inflight.Store(int64(k))
-		live, panicked, pmsg := e.runBatch(s, w, k)
-		if panicked {
-			s.busyNanos.Add(time.Since(start).Nanoseconds())
-			if n > 0 {
-				s.processed.Add(uint64(n))
-			}
-			return grantResult{panicked: true, panicVal: pmsg}, true
-		}
-		n += k
-		if live > 0 {
-			if claimed := w.inflight.Swap(0); claimed == 0 {
-				// The scheduler detached us mid-chunk and already charged
-				// these packets as fault drops; recycle without counting.
-				e.PutPacketBatch(w.batch[:live])
-				s.busyNanos.Add(time.Since(start).Nanoseconds())
-				s.processed.Add(uint64(n))
-				return res, true
-			}
-			if e.stopped.Load() {
-				// Run already returned: the mover is gone, so delivering
-				// into tx would strand the packets uncounted.
-				e.ShutdownDrops.Add(uint64(live))
-				e.PutPacketBatch(w.batch[:live])
-			} else {
-				// The scheduler only grants while tx has a batch of free
-				// space and the owning mover only removes, so this completes
-				// on the first pass; the loop covers the detached-incarnation
-				// race where two workers briefly share the ring.
-				rem := w.batch[:live]
-				for {
-					rem = rem[s.tx.EnqueueBatch(rem):]
-					if len(rem) == 0 {
-						break
-					}
-					if e.stopped.Load() {
-						e.ShutdownDrops.Add(uint64(len(rem)))
-						e.PutPacketBatch(rem)
-						break
-					}
-					runtime.Gosched()
-				}
-				if m := s.mov; m != nil {
-					m.maybeWake()
-				}
-			}
-		} else {
-			w.inflight.Store(0)
-		}
-	}
-	if n > 0 {
-		s.processed.Add(uint64(n))
-	}
-	s.busyNanos.Add(time.Since(start).Nanoseconds())
-	return res, false
-}
-
-// runBatch runs the stage's handler over batch[:k] in one call and compacts
-// the survivors to the front, reporting how many there are. The flight
-// recorder's enter/exit stamps bracket the call (one clock read per side,
-// shared by every sampled packet in the chunk). It recovers handler panics:
-// a panic leaves no packet of the chunk with a defined outcome, so the
-// recovery claims the whole chunk back from w.inflight (unless the scheduler
-// already detached us and charged it), charges it to fault drops and
-// recycles it, so no packet escapes the drop ledger.
-func (e *Engine) runBatch(s *stage, w *workerCtx, k int) (live int, panicked bool, pmsg string) {
-	debug := e.cfg.DebugPool
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		live, panicked, pmsg = 0, true, panicString(r)
-		if claimed := w.inflight.Swap(0); claimed > 0 {
-			e.FaultDrops.Add(uint64(claimed))
-			s.faultDrops.Add(uint64(claimed))
-		}
-		for _, p := range w.batch[:k] {
-			// A descriptor the debug check just flagged as recycled is
-			// already in the freelist — skip it rather than tripping the
-			// double-put check inside this recover.
-			if debug && atomic.LoadInt32(&p.poolState) != 0 {
-				continue
-			}
-			e.PutPacket(p)
-		}
-	}()
-	batch := w.batch[:k]
-	if debug {
-		for _, pkt := range batch {
-			if atomic.LoadInt32(&pkt.poolState) != 0 {
-				panic("dataplane: stage " + s.name + " processing a recycled packet (use-after-PutPacket)")
-			}
-		}
-	}
-	// Stamp sampled packets lazily: the clock is read only when the batch
-	// actually carries a span, so the unsampled path stays clock-free.
-	var now int64
-	for _, pkt := range batch {
-		if sp := pkt.span; sp != nil {
-			if now == 0 {
-				now = time.Now().UnixNano()
-			}
-			sp.stampEnter(s.id, now)
-		}
-	}
-	s.fn(batch)
-	now = 0
-	for _, pkt := range batch {
-		if sp := pkt.span; sp != nil {
-			if now == 0 {
-				now = time.Now().UnixNano()
-			}
-			sp.stampExit(now)
-		}
-	}
-	for _, pkt := range batch {
-		if pkt.Drop {
-			// Claim the single unit back; if the scheduler detached us it
-			// already charged this packet as a fault drop instead. Remote
-			// stages consume every packet this way, but their units belong
-			// to the transport ledger (RemoteDelivered/RemoteDrops), not
-			// NFDrops — the handler already charged any refusal.
-			if decInflight(&w.inflight) && w.kind == workerLocal {
-				s.nfDrops.Add(1)
-				e.NFDrops.Add(1)
-			}
-			e.PutPacket(pkt)
-			continue
-		}
-		pkt.Hop++
-		w.batch[live] = pkt
-		live++
-	}
-	return live, false, ""
-}
-
-// scheduleCore grants the core's runnable stage with the smallest WFQ pass
-// one batch and waits for completion, up to the grant deadline: an overdue
-// stage is detached and marked Failed rather than wedging the core, so one
-// stuck handler can never stall its neighbours. Reports whether anything
-// ran. The engine clock is refreshed once per grant.
-func (e *Engine) scheduleCore(core int, timer *time.Timer) bool {
-	var pick *stage
-	for _, s := range e.stages {
-		if s.core != core || !s.schedulable() || s.yield.Load() || s.rx.Len() == 0 {
-			continue
-		}
-		if s.tx.Len() >= e.cfg.RingSize-1-e.cfg.BatchSize {
-			continue // local backpressure: tx nearly full
-		}
-		if s.rem != nil && !s.rem.grantable(e.cfg.BatchSize) {
-			// Remote credit exhausted (window full, link down, or send
-			// queue at capacity): leave the packets in rx so the watermark
-			// machine sees the pressure and throttles the chain at entry.
-			continue
-		}
-		if pick == nil || s.pass < pick.pass {
-			pick = s
-		}
-	}
-	if pick == nil {
-		return false
-	}
-	e.coarseNanos.Store(time.Now().UnixNano())
-	e.grantStage(pick, timer, core)
-	return true
-}
-
-// grantStage issues one batch grant to the stage's live worker and settles
-// the outcome: WFQ pass accounting and probation on success, failStage on
-// panic, detach on deadline. Shared by scheduleCore and the shutdown drain.
-func (e *Engine) grantStage(pick *stage, timer *time.Timer, core int) {
-	w := pick.w.Load()
-	before := time.Duration(pick.busyNanos.Load())
-	w.grant <- e.cfg.BatchSize
-	res, ok := waitGrant(w, timer, e.cfg.GrantTimeout)
-	if !ok {
-		e.detachStage(pick, w)
-		return
-	}
-	if res.panicked {
-		e.failStage(pick, "panic", res.panicVal)
-		return
-	}
-	ran := time.Duration(pick.busyNanos.Load()) - before
-	wt := pick.weight.Load()
-	if wt < 2 {
-		wt = 2
-	}
-	pick.pass += float64(ran) * 1024 / float64(wt)
-	// Keep sleeping stages from banking unbounded credit.
-	min := pick.pass
-	for _, s := range e.stages {
-		if s.core == core && s.pass < min-float64(time.Second) {
-			s.pass = min - float64(time.Second)
-		}
-	}
-	// Probation: a restarted stage earns Healthy back by completing clean
-	// grants under real traffic. Remote stages are exempt — their health
-	// tracks the link state machine (remoteLinkState), and a clean grant
-	// only proves the send queue had room, not that the peer is reachable.
-	if w.kind == workerRemote {
-		return
-	}
-	switch Health(pick.health.Load()) {
-	case Restarting:
-		w.okGrants = 1
-		e.setHealth(pick, Degraded)
-	case Degraded:
-		w.okGrants++
-		if w.okGrants >= probationGrants {
-			pick.consecFails.Store(0)
-			e.setHealth(pick, Healthy)
-		}
-	}
-}
-
-// moveAll serially drains every stage's tx ring — the shutdown drain's
-// single-threaded mover, run only after the TX shards have exited.
-func (e *Engine) moveAll() { e.moveStages(e.stages, e.drainBuf, e.drainRC) }
-
-// moveStages drains each given stage's tx ring toward the next hop or the
-// sink (the paper's TX-thread role), in batches: runs of packets bound for
-// the same destination ring are forwarded with one
-// reservation, and all engine counters are flushed once per drained batch
-// (add-N, not N adds). Every piece of scratch state — the drain buffer, the
-// latency run-length encoder, the counter accumulators — is local to the
-// call, so concurrent movers over disjoint partitions share nothing but
-// the rings and the final atomic adds. Packets dropped in flight are
-// recycled through rc — buffered locally and returned to the shared
-// freelist with one batch reservation per sweep instead of one CAS each.
-// Reports how many packets it moved.
-func (e *Engine) moveStages(stages []*stage, buf []*Packet, rc *recycler) int {
-	// The clock is read lazily, once per sweep that actually drains
-	// packets: idle movers sweep dry partitions thousands of times per
-	// millisecond, and a vDSO clock call per dry sweep is the single
-	// largest avoidable cost on the serial path.
-	var now int64
-	moved := 0
-	var delivered, ringDrops uint64
-	var latSum, latMax int64
-	// Coarse-clock latencies arrive in runs of identical values; batch them
-	// into the histogram with run-length encoding.
-	var histVal, histN uint64
-	var sinkFrom int
-	for _, s := range stages {
-		var wastedHere uint64
-		for {
-			k := s.tx.DequeueBatch(buf)
-			if k == 0 {
-				break
-			}
-			if now == 0 {
-				now = time.Now().UnixNano()
-				e.coarseNanos.Store(now)
-			}
-			moved += k
-			if e.anyFaulty.Load() {
-				// Fail-open chains skip Failed hops; resolving every
-				// packet's effective hop up front keeps the run-forwarding
-				// loop below oblivious to faults.
-				e.bypassFailedHops(buf[:k])
-			}
-			if e.rec != nil {
-				// Flight recorder: stamp sampled packets' move times with a
-				// fresh clock read (the lazy `now` above can lag a worker's
-				// exit stamp and break hop monotonicity) and complete spans
-				// whose packet is about to be delivered below.
-				e.stampSpans(buf[:k])
-			}
-			sinkFrom = 0
-			for i := 0; i < k; {
-				pkt := buf[i]
-				chain := e.chains[pkt.ChainID]
-				if pkt.Hop >= len(chain) {
-					// Delivery: leave the packet in buf; the contiguous
-					// delivered run is handed over below.
-					lat := now - pkt.enqueuedNanos
-					if lat < 0 {
-						lat = 0
-					}
-					delivered++
-					latSum += lat
-					if lat > latMax {
-						latMax = lat
-					}
-					if uint64(lat) == histVal {
-						histN++
-					} else {
-						if histN > 0 && e.latHist != nil {
-							e.latHist.ObserveN(histVal, histN)
-						}
-						histVal, histN = uint64(lat), 1
-					}
-					i++
-					continue
-				}
-				// Forward: extend the run while packets share the next-hop
-				// ring, then publish the run with one reservation.
-				if i > sinkFrom {
-					e.deliver(buf[sinkFrom:i], rc)
-				}
-				dstID := chain[pkt.Hop]
-				dst := e.stages[dstID]
-				j := i + 1
-				for j < k {
-					q := buf[j]
-					qc := e.chains[q.ChainID]
-					if q.Hop >= len(qc) || qc[q.Hop] != dstID {
-						break
-					}
-					j++
-				}
-				run := buf[i:j]
-				dst.arrivals.Add(uint64(len(run)))
-				n := dst.rx.EnqueueBatch(run)
-				if n < len(run) {
-					// Work already invested in these packets is wasted; the
-					// drop itself happens at dst's full receive ring.
-					d := uint64(len(run) - n)
-					ringDrops += d
-					dst.drops.Add(d)
-					wastedHere += d
-					for _, q := range run[n:] {
-						rc.put(q)
-					}
-				}
-				i = j
-				sinkFrom = j
-			}
-			if k > sinkFrom {
-				e.deliver(buf[sinkFrom:k], rc)
-			}
-		}
-		if wastedHere > 0 {
-			s.wasted.Add(wastedHere)
-		}
-	}
-	if histN > 0 && e.latHist != nil {
-		e.latHist.ObserveN(histVal, histN)
-	}
-	if delivered > 0 {
-		e.Delivered.Add(delivered)
-		e.latSumNanos.Add(latSum)
-		for {
-			cur := e.latMaxNanos.Load()
-			if latMax <= cur || e.latMaxNanos.CompareAndSwap(cur, latMax) {
-				break
-			}
-		}
-	}
-	if ringDrops > 0 {
-		e.RingDrops.Add(ringDrops)
-		e.MidRingDrops.Add(ringDrops)
-	}
-	rc.flush()
-	return moved
-}
-
-// deliver hands a contiguous all-delivered run of a mover's drain buffer to
-// the sink; with no sink set the engine retires the descriptors itself.
-func (e *Engine) deliver(run []*Packet, rc *recycler) {
-	if e.sink != nil {
-		e.sink(run)
-		return
-	}
-	for _, p := range run {
-		rc.put(p)
-	}
-}
-
-// initControl fixes the topology for the control plane: Run calls it once
-// every stage and chain is registered.
-func (e *Engine) initControl() {
-	e.startWall = time.Now()
-	// The simulated manager's controller, with one parameter different: the
-	// engine sees depth only at the tick, not how long a queue has been above
-	// its watermark, so it throttles on the first over-watermark sample.
-	e.bp = bp.NewController(bp.Params{QueueTimeThreshold: 0},
-		len(e.stages), e.chains, bp.NewChainThrottles())
-	e.bpObs = make([]bp.Observation, len(e.stages))
-	e.byCore = make([][]*stage, e.cfg.Cores)
-	for _, s := range e.stages {
-		e.byCore[s.core] = append(e.byCore[s.core], s)
-	}
-}
-
-// updateBackpressure samples every stage's receive queue against the
-// watermarks, steps the backpressure controller, and applies what it
-// decided: chain-entry gates, one journaled Decision per gate edge naming
-// the stage that raised or released it with the depth observed there, and
-// the upstream yield flags.
-func (e *Engine) updateBackpressure() {
-	for i, s := range e.stages {
-		l := s.rx.Len()
-		o := bp.Observation{AboveHigh: l >= e.highWater, BelowLow: l < e.lowWater, Depth: l}
-		if s.rem != nil && s.rem.ecnActive.Load() {
-			// The peer engine is congested (sustained ECN echoes): treat the
-			// remote stage as over watermark regardless of local depth, so
-			// the chain throttles at its origin before the pipe fills — the
-			// paper's §3.4 cross-host backpressure. The signal also holds
-			// the throttle (never below low) until the echoes quiesce.
-			o.AboveHigh, o.BelowLow = true, false
-		}
-		e.bpObs[i] = o
-	}
-	for _, ed := range e.bp.Step(e.bpObs) {
-		st := e.stages[ed.Stage]
-		d := Decision{Kind: DecisionBPOff, Chain: ed.Chain,
-			Stage: st.name, QueueDepth: e.bpObs[ed.Stage].Depth,
-			HighWater: e.highWater, LowWater: e.lowWater}
-		if ed.On {
-			d.Kind = DecisionBPOn
-			// A remote stage's throttle edge names its cause: the link
-			// condition (credit exhaustion, peer ECN, outage) behind the
-			// pressure, or "" for a plain deep queue.
-			if st.rem != nil {
-				d.Note = st.rem.bpCause()
-			}
-			e.ThrottleEvents.Add(1)
-		}
-		// Journal first: whoever observes the gate closed finds its cause
-		// already recorded.
-		e.record(d)
-		e.throttled[ed.Chain].Store(ed.On)
-	}
-	for i, s := range e.stages {
-		s.yield.Store(e.bp.Yield(i))
-	}
-}
-
-// costUnit is the estimator's sample resolution, picoseconds per packet:
-// whole nanoseconds would quantize a ~10 ns no-op stage by 10 %.
-const costUnit = 1000
-
-// updateWeights is the rate-cost proportional controller: each stage's
-// measured handler time per packet since the last tick feeds its median
-// estimator, load_i = λ_i·s_i is expressed in fractional cores, and the
-// simulator's share function turns each core's loads into weights. elapsed
-// is the time since the previous call.
-func (e *Engine) updateWeights(now time.Time, elapsed time.Duration) {
-	at := simtime.FromDuration(now.Sub(e.startWall))
-	p := core.DefaultParams()
-	for _, stages := range e.byCore {
-		e.wDemands = e.wDemands[:0]
-		for _, s := range stages {
-			arr := s.arrivals.Load()
-			busy := s.busyNanos.Load()
-			proc := s.processed.Load()
-			dArr := arr - s.lastArr
-			dBusy := busy - s.lastBusy
-			dProc := proc - s.lastProc
-			s.lastArr, s.lastBusy, s.lastProc = arr, busy, proc
-			if dProc > 0 {
-				s.costEst.Observe(at, uint64(dBusy)*costUnit/dProc)
-			}
-			cost := float64(s.costEst.Median(at)) / costUnit // ns/packet
-			s.estCost.Store(math.Float64bits(cost))
-			e.wDemands = append(e.wDemands, core.Demand{
-				Load: float64(dArr) * cost / float64(elapsed), Priority: 1})
-		}
-		e.wShares = core.Shares(e.wShares, e.wDemands, p.ShareScale, p.MinShare)
-		for i, s := range stages {
-			if e.wShares[i] == core.KeepShares {
-				continue
-			}
-			w := int64(e.wShares[i])
-			if old := s.weight.Swap(w); old != w {
-				e.record(Decision{Kind: DecisionWeight, Chain: -1, Stage: s.name,
-					Load: e.wDemands[i].Load, CostNanos: math.Float64frombits(s.estCost.Load()),
-					OldWeight: old, NewWeight: w})
-			}
-		}
-	}
-}
-
-// RegisterMetrics publishes the engine's counters, gauges and the end-to-end
-// latency histogram into a telemetry registry. All backing values are
-// atomic, so the registry may be gathered (scraped) live while the engine
-// runs. Must be called before Run.
-func (e *Engine) RegisterMetrics(reg *telemetry.Registry) {
-	if e.running.Load() {
-		panic("dataplane: RegisterMetrics after Run")
-	}
-	for _, s := range e.stages {
-		lbl := []telemetry.Label{
-			telemetry.L("stage", s.name),
-			telemetry.L("id", strconv.Itoa(s.id)),
-			telemetry.L("core", strconv.Itoa(s.core)),
-		}
-		reg.CounterFunc("dataplane_stage_processed_total",
-			"Packets processed by the stage.", s.processed.Load, lbl...)
-		reg.CounterFunc("dataplane_stage_arrivals_total",
-			"Packets offered to the stage (attempts, including drops).", s.arrivals.Load, lbl...)
-		reg.CounterFunc("dataplane_stage_queue_drops_total",
-			"Packets dropped at the stage's full receive ring.", s.drops.Load, lbl...)
-		reg.CounterFunc("dataplane_stage_wasted_total",
-			"Packets processed by the stage that died downstream (wasted work).", s.wasted.Load, lbl...)
-		reg.CounterFunc("dataplane_stage_busy_nanoseconds_total",
-			"Cumulative handler wall time.", func() uint64 { return uint64(s.busyNanos.Load()) }, lbl...)
-		reg.GaugeFunc("dataplane_stage_weight",
-			"Current scheduler weight (1024 = one default share).",
-			func() float64 { return float64(s.weight.Load()) }, lbl...)
-		reg.GaugeFunc("dataplane_stage_queue_depth",
-			"Instantaneous receive-ring occupancy.",
-			func() float64 { return float64(s.rx.Len()) }, lbl...)
-		reg.GaugeFunc("dataplane_stage_health",
-			"Supervision state: 0 healthy, 1 degraded, 2 failed, 3 restarting.",
-			func() float64 { return float64(s.health.Load()) }, lbl...)
-		reg.CounterFunc("dataplane_stage_restarts_total",
-			"Supervised worker respawns after a crash or stall.", s.restarts.Load, lbl...)
-		reg.CounterFunc("dataplane_stage_fault_drops_total",
-			"Packets lost in this stage's crashes, stalls and failed-queue drains.",
-			s.faultDrops.Load, lbl...)
-		reg.CounterFunc("dataplane_stage_nf_drops_total",
-			"Packets the handler discarded via Packet.Drop.", s.nfDrops.Load, lbl...)
-	}
-	for _, m := range e.movers {
-		m := m
-		lbl := []telemetry.Label{telemetry.L("mover", strconv.Itoa(m.id))}
-		reg.CounterFunc("dataplane_mover_sweeps_total",
-			"Drain passes the TX shard made over its stage partition.", m.sweeps.Load, lbl...)
-		reg.CounterFunc("dataplane_mover_moved_total",
-			"Packets the TX shard drained from its tx rings.", m.moved.Load, lbl...)
-		reg.CounterFunc("dataplane_mover_parks_total",
-			"Times the idle TX shard parked awaiting a wake signal.", m.parks.Load, lbl...)
-		reg.CounterFunc("dataplane_mover_wakes_total",
-			"Enqueue-side wake signals delivered to the parked TX shard.", m.wakes.Load, lbl...)
-		reg.CounterFunc("dataplane_mover_lane_moved_total",
-			"Packets the TX shard drained from its bound inject lanes.", m.laneMoved.Load, lbl...)
-		reg.GaugeFunc("dataplane_mover_lanes",
-			"Inject lanes currently bound to the TX shard.",
-			func() float64 { return float64(len(*m.lanes.Load())) }, lbl...)
-		reg.GaugeFunc("dataplane_mover_batch",
-			"Current adaptive sweep batch of the TX shard.",
-			func() float64 { return float64(m.curBatch.Load()) }, lbl...)
-		reg.GaugeFunc("dataplane_mover_park_ratio",
-			"Fraction of the TX shard's sweeps that ended in a park.",
-			func() float64 {
-				if sw := m.sweeps.Load(); sw > 0 {
-					return float64(m.parks.Load()) / float64(sw)
-				}
-				return 0
-			}, lbl...)
-		reg.GaugeFunc("dataplane_mover_drain_per_sweep",
-			"Mean packets drained per TX-shard sweep.",
-			func() float64 {
-				if sw := m.sweeps.Load(); sw > 0 {
-					return float64(m.moved.Load()) / float64(sw)
-				}
-				return 0
-			}, lbl...)
-	}
-	for ci := range e.chains {
-		lbl := []telemetry.Label{telemetry.L("chain", strconv.Itoa(ci))}
-		th := &e.throttled[ci]
-		reg.GaugeFunc("dataplane_chain_throttled",
-			"1 while the chain is shed at entry by backpressure.",
-			func() float64 {
-				if th.Load() {
-					return 1
-				}
-				return 0
-			}, lbl...)
-	}
-	reg.CounterFunc("dataplane_injected_total",
-		"Packets accepted into a chain entry ring.", e.Injected.Load)
-	reg.CounterFunc("dataplane_delivered_total",
-		"Packets that completed their chains.", e.Delivered.Load)
-	reg.CounterFunc("dataplane_entry_drops_total",
-		"Packets shed at chain entry by backpressure.", e.EntryDrops.Load)
-	reg.CounterFunc("dataplane_ring_drops_total",
-		"Packets dropped at full stage receive rings (entry or mid-chain).", e.RingDrops.Load)
-	reg.CounterFunc("dataplane_mid_ring_drops_total",
-		"Accepted packets dropped at full mid-chain receive rings (subset of ring drops).", e.MidRingDrops.Load)
-	reg.CounterFunc("dataplane_throttle_events_total",
-		"Chain-throttle activations.", e.ThrottleEvents.Load)
-	reg.CounterFunc("dataplane_fault_entry_drops_total",
-		"Packets shed at the entry of a fail-closed chain with a Failed stage.",
-		e.FaultEntryDrops.Load)
-	reg.CounterFunc("dataplane_nf_drops_total",
-		"Packets discarded by handlers via Packet.Drop.", e.NFDrops.Load)
-	reg.CounterFunc("dataplane_fault_drops_total",
-		"In-flight packets lost to stage crashes, stalls and failed-queue drains.",
-		e.FaultDrops.Load)
-	reg.CounterFunc("dataplane_shutdown_drops_total",
-		"Accepted packets swept out of rings when Run wound down.",
-		e.ShutdownDrops.Load)
-	reg.CounterFunc("dataplane_late_drops_total",
-		"Lane injects rejected, and lane leftovers swept, because Run had exited.", e.LateDrops.Load)
-	reg.CounterFunc("dataplane_unrouted_drops_total",
-		"Packets dropped at lane drain because their flow had no route.", e.UnroutedDrops.Load)
-	reg.GaugeFunc("dataplane_watermark_packets",
-		"Backpressure high watermark in packets.",
-		func() float64 { return float64(e.highWater) }, telemetry.L("level", "high"))
-	reg.GaugeFunc("dataplane_watermark_packets",
-		"Backpressure low watermark in packets.",
-		func() float64 { return float64(e.lowWater) }, telemetry.L("level", "low"))
-	e.latHist = reg.Histogram("dataplane_latency_nanoseconds",
-		"End-to-end sojourn time of delivered packets.")
-	if r := e.rec; r != nil {
-		reg.CounterFunc("dataplane_spans_sampled_total",
-			"Flight-recorder spans started at inject.", r.sampled.Load)
-		reg.CounterFunc("dataplane_spans_completed_total",
-			"Flight-recorder spans that reached the output boundary.", r.completed.Load)
-		reg.CounterFunc("dataplane_spans_aborted_total",
-			"Flight-recorder spans whose packet was dropped mid-flight.", r.aborted.Load)
-		reg.CounterFunc("dataplane_span_starved_total",
-			"Sampler hits skipped because every span slab was in flight.", r.starved.Load)
-		reg.CounterFunc("dataplane_span_spool_drops_total",
-			"Completed spans discarded at a full spool.", r.spoolDrops.Load)
-		e.hopService = make([]*telemetry.Histogram, len(e.stages))
-		e.hopWait = make([]*telemetry.Histogram, len(e.stages))
-		for _, s := range e.stages {
-			lbl := []telemetry.Label{
-				telemetry.L("stage", s.name),
-				telemetry.L("id", strconv.Itoa(s.id)),
-			}
-			e.hopService[s.id] = reg.Histogram("dataplane_hop_service_nanoseconds",
-				"Per-hop handler time of sampled packets.", lbl...)
-			e.hopWait[s.id] = reg.Histogram("dataplane_hop_wait_nanoseconds",
-				"Per-hop ring wait of sampled packets (previous move to dequeue).", lbl...)
-		}
-	}
-	if j := e.journal; j != nil {
-		reg.CounterFunc("dataplane_decisions_total",
-			"Control-plane decisions appended to the journal.", j.Total)
-		reg.CounterFunc("dataplane_decision_drops_total",
-			"Journal records overwritten by ring wrap.", j.Dropped)
-	}
-	e.registerRemoteMetrics(reg)
-}
-
-// SetEventLog attaches a structured event log receiving backpressure
-// transitions (info) and weight updates (debug). Must be called before Run.
-func (e *Engine) SetEventLog(l *telemetry.EventLog) {
-	if e.running.Load() {
-		panic("dataplane: SetEventLog after Run")
-	}
-	e.events = l
 }

@@ -100,6 +100,12 @@ func TestChainValidation(t *testing.T) {
 	if _, err := e.AddChain(42); err == nil {
 		t.Fatal("unknown stage accepted")
 	}
+	// A route to a chain that does not exist is refused at the call, not on
+	// a mover goroutine when the first packet of the flow is drained.
+	c, _ := e.AddChain(e.AddStage("s", 1024, func(*Packet) {}))
+	e.MapFlow(7, c)
+	mustPanic(t, "MapFlow to chain 99", func() { e.MapFlow(7, 99) })
+	mustPanic(t, "MapFlow to chain -1", func() { e.MapFlow(7, -1) })
 }
 
 func TestWeightedSharesSkewThroughput(t *testing.T) {

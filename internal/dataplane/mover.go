@@ -22,7 +22,6 @@ package dataplane
 // atomic counter adds.
 
 import (
-	"context"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -286,48 +285,156 @@ func (e *Engine) runMover(m *mover) {
 	}
 }
 
-// controlLoop is the decoupled control plane: the engine clock, the
-// watermark backpressure state machine (every Config.BackpressurePeriod,
-// the paper's 1 ms load-estimation cadence), stage supervision, and the
-// rate-cost weight controller (every Config.WeightPeriod, the paper's
-// 10 ms weight push). It runs on Run's own goroutine so the hot path —
-// schedulers granting, workers processing, movers shuttling — never
-// carries control work.
-func (e *Engine) controlLoop(ctx context.Context) {
-	tick := e.cfg.BackpressurePeriod
-	if tick > controlTickMax {
-		tick = controlTickMax
-	}
-	if e.cfg.WeightPeriod > 0 && e.cfg.WeightPeriod < tick {
-		tick = e.cfg.WeightPeriod
-	}
-	lastBP := time.Now()
-	lastW := lastBP
-	for ctx.Err() == nil {
-		now := time.Now()
-		e.coarseNanos.Store(now.UnixNano())
-		if now.Sub(lastBP) >= e.cfg.BackpressurePeriod {
-			// Fold remote ECN echoes into their observers first so the
-			// backpressure pass sees fresh cross-host congestion signals.
-			if len(e.remotes) > 0 {
-				e.updateRemoteECN()
+// moveAll serially drains every stage's tx ring — the shutdown drain's
+// single-threaded mover, run only after the TX shards have exited.
+func (e *Engine) moveAll() { e.moveStages(e.stages, e.drainBuf, e.drainRC) }
+
+// moveStages drains each given stage's tx ring toward the next hop or the
+// sink (the paper's TX-thread role), in batches: runs of packets bound for
+// the same destination ring are forwarded with one
+// reservation, and all engine counters are flushed once per drained batch
+// (add-N, not N adds). Every piece of scratch state — the drain buffer, the
+// latency run-length encoder, the counter accumulators — is local to the
+// call, so concurrent movers over disjoint partitions share nothing but
+// the rings and the final atomic adds. Packets dropped in flight are
+// recycled through rc — buffered locally and returned to the shared
+// freelist with one batch reservation per sweep instead of one CAS each.
+// Reports how many packets it moved.
+func (e *Engine) moveStages(stages []*stage, buf []*Packet, rc *recycler) int {
+	// The clock is read lazily, once per sweep that actually drains
+	// packets: idle movers sweep dry partitions thousands of times per
+	// millisecond, and a vDSO clock call per dry sweep is the single
+	// largest avoidable cost on the serial path.
+	var now int64
+	moved := 0
+	var delivered, ringDrops uint64
+	var latSum, latMax int64
+	// Coarse-clock latencies arrive in runs of identical values; batch them
+	// into the histogram with run-length encoding.
+	var histVal, histN uint64
+	var sinkFrom int
+	for _, s := range stages {
+		var wastedHere uint64
+		for {
+			k := s.tx.DequeueBatch(buf)
+			if k == 0 {
+				break
 			}
-			e.updateBackpressure()
-			lastBP = now
+			if now == 0 {
+				now = time.Now().UnixNano()
+				e.coarseNanos.Store(now)
+			}
+			moved += k
+			if e.anyFaulty.Load() {
+				// Fail-open chains skip Failed hops; resolving every
+				// packet's effective hop up front keeps the run-forwarding
+				// loop below oblivious to faults.
+				e.bypassFailedHops(buf[:k])
+			}
+			if e.rec != nil {
+				// Flight recorder: stamp sampled packets' move times with a
+				// fresh clock read (the lazy `now` above can lag a worker's
+				// exit stamp and break hop monotonicity) and complete spans
+				// whose packet is about to be delivered below.
+				e.stampSpans(buf[:k])
+			}
+			sinkFrom = 0
+			for i := 0; i < k; {
+				pkt := buf[i]
+				chain := e.chains[pkt.ChainID]
+				if pkt.Hop >= len(chain) {
+					// Delivery: leave the packet in buf; the contiguous
+					// delivered run is handed over below.
+					lat := now - pkt.enqueuedNanos
+					if lat < 0 {
+						lat = 0
+					}
+					delivered++
+					latSum += lat
+					if lat > latMax {
+						latMax = lat
+					}
+					if uint64(lat) == histVal {
+						histN++
+					} else {
+						if histN > 0 && e.latHist != nil {
+							e.latHist.ObserveN(histVal, histN)
+						}
+						histVal, histN = uint64(lat), 1
+					}
+					i++
+					continue
+				}
+				// Forward: extend the run while packets share the next-hop
+				// ring, then publish the run with one reservation.
+				if i > sinkFrom {
+					e.deliver(buf[sinkFrom:i], rc)
+				}
+				dstID := chain[pkt.Hop]
+				dst := e.stages[dstID]
+				j := i + 1
+				for j < k {
+					q := buf[j]
+					qc := e.chains[q.ChainID]
+					if q.Hop >= len(qc) || qc[q.Hop] != dstID {
+						break
+					}
+					j++
+				}
+				run := buf[i:j]
+				dst.arrivals.Add(uint64(len(run)))
+				n := dst.rx.EnqueueBatch(run)
+				if n < len(run) {
+					// Work already invested in these packets is wasted; the
+					// drop itself happens at dst's full receive ring.
+					d := uint64(len(run) - n)
+					ringDrops += d
+					dst.drops.Add(d)
+					wastedHere += d
+					for _, q := range run[n:] {
+						rc.put(q)
+					}
+				}
+				i = j
+				sinkFrom = j
+			}
+			if k > sinkFrom {
+				e.deliver(buf[sinkFrom:k], rc)
+			}
 		}
-		// Flight recorder: completed spans drain here, off the hot path —
-		// the histogram observes and the span sink run on this goroutine.
-		e.drainSpool()
-		e.supervise(now.UnixNano())
-		if e.cfg.WeightPeriod > 0 && now.Sub(lastW) >= e.cfg.WeightPeriod {
-			e.updateWeights(now, now.Sub(lastW))
-			lastW = now
+		if wastedHere > 0 {
+			s.wasted.Add(wastedHere)
 		}
-		time.Sleep(tick)
 	}
+	if histN > 0 && e.latHist != nil {
+		e.latHist.ObserveN(histVal, histN)
+	}
+	if delivered > 0 {
+		e.Delivered.Add(delivered)
+		e.latSumNanos.Add(latSum)
+		for {
+			cur := e.latMaxNanos.Load()
+			if latMax <= cur || e.latMaxNanos.CompareAndSwap(cur, latMax) {
+				break
+			}
+		}
+	}
+	if ringDrops > 0 {
+		e.RingDrops.Add(ringDrops)
+		e.MidRingDrops.Add(ringDrops)
+	}
+	rc.flush()
+	return moved
 }
 
-// controlTickMax bounds the control loop's sleep so the coarse engine
-// clock stays fresh (and supervision reacts promptly) even when the
-// backpressure cadence is long.
-const controlTickMax = 100 * time.Microsecond
+// deliver hands a contiguous all-delivered run of a mover's drain buffer to
+// the sink; with no sink set the engine retires the descriptors itself.
+func (e *Engine) deliver(run []*Packet, rc *recycler) {
+	if e.sink != nil {
+		e.sink(run)
+		return
+	}
+	for _, p := range run {
+		rc.put(p)
+	}
+}

@@ -307,7 +307,7 @@ func (e *Engine) observeSpan(sp *Span) {
 	}
 }
 
-// SpanTraceSink adapts an obs sink (obs.Trace, obs.ChromeWriter) into a
+// SpanTraceSink adapts an obs sink (an obs.ChromeWriter) into a
 // span sink for SetSpanSink: each hop becomes a "service" slice on the
 // stage's lane preceded by an "rxwait" slice covering the packet's ring
 // wait, so a congested stage shows as inflated rxwait ahead of it. The obs

@@ -17,8 +17,6 @@ import (
 // checksum rewrites, per-flow accounting — on the zero-copy frame path: wire
 // bytes live in preallocated arena slots (Config.FrameSize) and NFs mutate
 // them in place. TestRealNFChainZeroAllocs gates this path at 0 allocs/pkt.
-// (The heap-frame-per-packet baseline it replaced, 2× slower with 2
-// allocs/pkt, is frozen in BENCH_dataplane.json.)
 //
 // It uses the same closed-loop harness as internal/dataplane/bench_test.go
 // (RingSize 4096, BatchSize 256, inflight window 1024) so ns/pkt deltas are

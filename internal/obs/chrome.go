@@ -9,20 +9,16 @@ import (
 	"nfvnice/internal/simtime"
 )
 
-// Sink receives trace instrumentation points. Both the buffered Trace (kept
-// for in-memory inspection and as the compatibility wrapper) and the
-// streaming ChromeWriter implement it, so callers can instrument once and
-// choose the destination at run time.
+// Sink receives trace instrumentation points: what the simulator's hooks and
+// the live engine's span adapter are written against. ChromeWriter is the
+// package's one implementation.
 type Sink interface {
 	RunSpan(core int, task string, start, end simtime.Cycles)
 	Instant(name string, now simtime.Cycles, args map[string]any)
 	Counter(name string, now simtime.Cycles, value float64)
 }
 
-var (
-	_ Sink = (*Trace)(nil)
-	_ Sink = (*ChromeWriter)(nil)
-)
+var _ Sink = (*ChromeWriter)(nil)
 
 // ChromeWriter emits Chrome trace events incrementally to an io.Writer
 // instead of buffering them, so arbitrarily long runs never hit a retention

@@ -77,37 +77,6 @@ func TestChromeWriterEmpty(t *testing.T) {
 	}
 }
 
-// TestTraceAndChromeWriterAgree pins that the buffered Trace's serialized
-// output matches what the streaming writer emits for the same calls.
-func TestTraceAndChromeWriterAgree(t *testing.T) {
-	tr := New()
-	var buf bytes.Buffer
-	cw := NewChromeWriter(&buf)
-	for _, s := range []Sink{tr, cw} {
-		s.RunSpan(2, "fw", 0, 26000)
-		s.Instant("bp-clear", 26000, nil)
-		s.Counter("q", 26000, 3)
-	}
-	var trBuf bytes.Buffer
-	if err := tr.WriteChrome(&trBuf); err != nil {
-		t.Fatal(err)
-	}
-	cw.Close()
-
-	a := decodeTrace(t, trBuf.Bytes())
-	b := decodeTrace(t, buf.Bytes())
-	if len(a) != len(b) {
-		t.Fatalf("event counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		aj, _ := json.Marshal(a[i])
-		bj, _ := json.Marshal(b[i])
-		if string(aj) != string(bj) {
-			t.Errorf("event %d differs:\nbuffered:  %s\nstreaming: %s", i, aj, bj)
-		}
-	}
-}
-
 func TestChromeWriterConcurrent(t *testing.T) {
 	var buf bytes.Buffer
 	cw := NewChromeWriter(&buf)

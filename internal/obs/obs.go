@@ -4,15 +4,7 @@
 // backpressure transitions, and counter tracks for cgroup weight updates.
 package obs
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"sort"
-	"sync"
-
-	"nfvnice/internal/simtime"
-)
+import "nfvnice/internal/simtime"
 
 // TimeUnit scales a sink's raw timestamps into the trace format's
 // microseconds. Producers hand in either simulated cycles (the simulator's
@@ -48,116 +40,4 @@ type event struct {
 	TID  int            `json:"tid"`
 	S    string         `json:"s,omitempty"` // instant scope
 	Args map[string]any `json:"args,omitempty"`
-}
-
-// Trace accumulates events. Safe for single-threaded simulator use; a mutex
-// guards WriteChrome racing late events in concurrent settings.
-type Trace struct {
-	mu  sync.Mutex
-	evs []event
-
-	// Cap bounds retained events to protect long runs (0 = 1<<20).
-	Cap int
-
-	// Dropped counts events discarded past Cap.
-	Dropped uint64
-
-	// Unit selects the timestamp base (zero value = UnitCycles). Set it
-	// before recording: events store converted microseconds.
-	Unit TimeUnit
-}
-
-// New returns an empty trace.
-func New() *Trace {
-	return &Trace{}
-}
-
-func (t *Trace) add(e event) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	cap := t.Cap
-	if cap == 0 {
-		cap = 1 << 20
-	}
-	if len(t.evs) >= cap {
-		t.Dropped++
-		return
-	}
-	t.evs = append(t.evs, e)
-}
-
-// RunSpan records a task executing on a core from start to end.
-func (t *Trace) RunSpan(core int, task string, start, end simtime.Cycles) {
-	if end <= start {
-		return
-	}
-	t.add(event{
-		Name: task,
-		Cat:  "run",
-		Ph:   "X",
-		TS:   t.Unit.toUS(start),
-		Dur:  t.Unit.toUS(end - start),
-		PID:  0,
-		TID:  core,
-	})
-}
-
-// Instant records a point event on a core-independent control lane.
-func (t *Trace) Instant(name string, now simtime.Cycles, args map[string]any) {
-	t.add(event{
-		Name: name,
-		Cat:  "control",
-		Ph:   "i",
-		TS:   t.Unit.toUS(now),
-		PID:  0,
-		TID:  1000, // control-plane lane
-		S:    "g",
-		Args: args,
-	})
-}
-
-// Counter records a named counter sample (e.g. an NF's cpu.shares).
-func (t *Trace) Counter(name string, now simtime.Cycles, value float64) {
-	t.add(event{
-		Name: name,
-		Ph:   "C",
-		TS:   t.Unit.toUS(now),
-		PID:  0,
-		TID:  0,
-		Args: map[string]any{"value": value},
-	})
-}
-
-// Len reports recorded events.
-func (t *Trace) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.evs)
-}
-
-// WriteChrome emits the JSON-array trace format, events sorted by timestamp
-// as the viewers prefer.
-func (t *Trace) WriteChrome(w io.Writer) error {
-	t.mu.Lock()
-	evs := make([]event, len(t.evs))
-	copy(evs, t.evs)
-	t.mu.Unlock()
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].TS < evs[j].TS })
-	if _, err := io.WriteString(w, "[\n"); err != nil {
-		return err
-	}
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	for i := range evs {
-		if i > 0 {
-			if _, err := io.WriteString(w, ","); err != nil {
-				return err
-			}
-		}
-		if err := enc.Encode(&evs[i]); err != nil {
-			return fmt.Errorf("obs: %w", err)
-		}
-	}
-	_, err := io.WriteString(w, "]\n")
-	return err
 }

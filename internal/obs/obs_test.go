@@ -2,79 +2,57 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
-
-	"nfvnice/internal/simtime"
 )
 
 func TestRunSpanAndWrite(t *testing.T) {
-	tr := New()
-	tr.RunSpan(0, "nf1", 2600, 5200) // 1µs..2µs
-	tr.RunSpan(1, "nf2", 0, 2600)
-	tr.Instant("bp-throttle", 5200, map[string]any{"nf": "nf1"})
-	tr.Counter("shares:nf1", 5200, 4096)
-	if tr.Len() != 4 {
-		t.Fatalf("Len = %d", tr.Len())
-	}
 	var buf bytes.Buffer
-	if err := tr.WriteChrome(&buf); err != nil {
+	cw := NewChromeWriter(&buf)
+	cw.RunSpan(0, "nf1", 2600, 5200) // 1µs..2µs
+	cw.RunSpan(1, "nf2", 0, 2600)
+	cw.Instant("bp-throttle", 5200, map[string]any{"nf": "nf1"})
+	cw.Counter("shares:nf1", 5200, 4096)
+	if cw.Len() != 4 {
+		t.Fatalf("Len = %d", cw.Len())
+	}
+	if err := cw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	var evs []map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &evs); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, buf.String())
-	}
+	evs := decodeTrace(t, buf.Bytes())
 	if len(evs) != 4 {
 		t.Fatalf("decoded %d events", len(evs))
 	}
-	// Sorted by timestamp: nf2's span (ts=0) first.
-	if evs[0]["name"] != "nf2" {
-		t.Fatalf("first event %v, want nf2 (sorted)", evs[0]["name"])
+	// Emission order, not timestamp order: nf1's span (ts=1) stays first.
+	if evs[0]["name"] != "nf1" || evs[1]["name"] != "nf2" {
+		t.Fatalf("events reordered: %v, %v", evs[0]["name"], evs[1]["name"])
 	}
-	// Span duration in microseconds.
-	for _, e := range evs {
-		if e["name"] == "nf1" && e["ph"] == "X" {
-			if e["dur"].(float64) != 1.0 {
-				t.Fatalf("nf1 dur = %v µs, want 1", e["dur"])
-			}
-			if e["ts"].(float64) != 1.0 {
-				t.Fatalf("nf1 ts = %v µs, want 1", e["ts"])
-			}
-		}
+	// Span start and duration in microseconds.
+	if ts, dur := evs[0]["ts"], evs[0]["dur"]; ts != 1.0 || dur != 1.0 {
+		t.Fatalf("nf1 ts=%v dur=%v µs, want 1 and 1", ts, dur)
+	}
+	if nf := evs[2]["args"].(map[string]any)["nf"]; nf != "nf1" {
+		t.Fatalf("instant args nf = %v", nf)
+	}
+	if v := evs[3]["args"].(map[string]any)["value"]; v != 4096.0 {
+		t.Fatalf("counter value = %v", v)
 	}
 }
 
 func TestZeroLengthSpanSkipped(t *testing.T) {
-	tr := New()
-	tr.RunSpan(0, "x", 100, 100)
-	tr.RunSpan(0, "x", 100, 50)
-	if tr.Len() != 0 {
+	cw := NewChromeWriter(new(bytes.Buffer))
+	cw.RunSpan(0, "x", 100, 100)
+	cw.RunSpan(0, "x", 100, 50)
+	if cw.Len() != 0 {
 		t.Fatal("degenerate spans recorded")
-	}
-}
-
-func TestCapBoundsMemory(t *testing.T) {
-	tr := New()
-	tr.Cap = 10
-	for i := 0; i < 100; i++ {
-		tr.Counter("c", simtime.Cycles(i), float64(i))
-	}
-	if tr.Len() != 10 {
-		t.Fatalf("Len = %d, want capped 10", tr.Len())
-	}
-	if tr.Dropped != 90 {
-		t.Fatalf("Dropped = %d", tr.Dropped)
 	}
 }
 
 func TestEmptyTraceValidJSON(t *testing.T) {
 	var buf bytes.Buffer
-	if err := New().WriteChrome(&buf); err != nil {
+	if err := NewChromeWriter(&buf).Close(); err != nil {
 		t.Fatal(err)
 	}
-	var evs []any
-	if err := json.Unmarshal(buf.Bytes(), &evs); err != nil {
-		t.Fatalf("empty trace invalid: %v", err)
+	if evs := decodeTrace(t, buf.Bytes()); len(evs) != 0 {
+		t.Fatalf("empty trace decoded to %d events", len(evs))
 	}
 }

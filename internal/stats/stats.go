@@ -8,6 +8,7 @@ package stats
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 
 	"nfvnice/internal/simtime"
@@ -25,15 +26,10 @@ type Histogram struct {
 	max     uint64
 }
 
-// bucketOf maps a value to a bucket index: bit length of the value, i.e.
-// bucket k holds values in [2^(k-1), 2^k).
-func bucketOf(v uint64) int {
-	return 64 - leadingZeros(v)
-}
-
-// BucketOf exposes the log-bucket index function so other packages
-// (internal/telemetry) can share the same bucket layout.
-func BucketOf(v uint64) int { return bucketOf(v) }
+// BucketOf maps a value to a bucket index: bit length of the value, i.e.
+// bucket k holds values in [2^(k-1), 2^k). Exported so other packages
+// (internal/telemetry) share the same bucket layout.
+func BucketOf(v uint64) int { return bits.Len64(v) }
 
 // BucketUpper reports the largest value bucket i can hold — the inclusive
 // ("le") upper bound used when exposing the histogram.
@@ -56,21 +52,9 @@ type HistogramSnapshot struct {
 	Buckets [64]uint64
 }
 
-func leadingZeros(v uint64) int {
-	n := 0
-	if v == 0 {
-		return 64
-	}
-	for v&(1<<63) == 0 {
-		v <<= 1
-		n++
-	}
-	return n
-}
-
 // Observe adds a sample.
 func (h *Histogram) Observe(v uint64) {
-	idx := bucketOf(v)
+	idx := BucketOf(v)
 	if idx >= len(h.buckets) {
 		idx = len(h.buckets) - 1
 	}

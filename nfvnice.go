@@ -420,19 +420,10 @@ func (p *Platform) Rand() *rand.Rand {
 	return rand.New(rand.NewSource(p.cfg.Seed*13_000_001 + p.seedSeq))
 }
 
-// EnableTracing records a Chrome-trace (Perfetto-compatible) timeline of
-// the run: per-core NF run spans, backpressure transitions, and cpu.shares
-// counters. Call before Run; write the result with Trace.WriteChrome. For
-// long runs prefer EnableTraceTo with a streaming obs.ChromeWriter, which
-// never hits the in-memory retention cap.
-func (p *Platform) EnableTracing() *obs.Trace {
-	tr := obs.New()
-	p.EnableTraceTo(tr)
-	return tr
-}
-
-// EnableTraceTo sends the tracing instrumentation to any obs.Sink — a
-// buffered obs.Trace or a streaming obs.ChromeWriter. Hooks are chained, so
+// EnableTraceTo records a Chrome-trace (Perfetto-compatible) timeline of
+// the run into an obs.Sink — in practice a streaming obs.ChromeWriter:
+// per-core NF run spans, backpressure transitions, and cpu.shares counters.
+// Call before Run and Close the writer after it. Hooks are chained, so
 // tracing composes with EnableTelemetry and repeated calls.
 func (p *Platform) EnableTraceTo(tr obs.Sink) {
 	p.addRunSpanHook(tr)

@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"nfvnice/internal/obs"
 )
 
 // build3NFChain assembles the paper's §4.2.1 scenario: a Low(120) → Med(270)
@@ -184,13 +186,14 @@ func TestTracingCapturesRun(t *testing.T) {
 		t.Skip("full platform run")
 	}
 	p, _ := build3NFChain(SchedBatch, ModeNFVnice)
-	tr := p.EnableTracing()
+	var buf strings.Builder
+	tr := obs.NewChromeWriter(&buf)
+	p.EnableTraceTo(tr)
 	p.Run(Milliseconds(50))
 	if tr.Len() == 0 {
 		t.Fatal("no trace events recorded")
 	}
-	var buf strings.Builder
-	if err := tr.WriteChrome(&buf); err != nil {
+	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

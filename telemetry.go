@@ -159,10 +159,10 @@ func (t *Telemetry) StartRecorder(period Cycles, capacity int) *telemetry.Record
 }
 
 // AttachTrace mirrors the platform's instrumentation into a Chrome-trace
-// sink (obs.Trace to buffer, obs.ChromeWriter to stream): per-core NF run
-// spans directly, and the event log's backpressure/weight events as instants
-// and counter tracks — one set of instrumentation points, three outputs
-// (Prometheus, CSV time series, Perfetto trace).
+// sink (an obs.ChromeWriter): per-core NF run spans directly, and the event
+// log's backpressure/weight events as instants and counter tracks — one set
+// of instrumentation points, three outputs (Prometheus, CSV time series,
+// Perfetto trace).
 func (t *Telemetry) AttachTrace(sink obs.Sink) {
 	t.p.addRunSpanHook(sink)
 	t.Events.AddSink(func(e telemetry.Event) {

@@ -135,16 +135,21 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	}
 }
 
-// TestTelemetryComposesWithTracing pins that EnableTelemetry and the legacy
-// EnableTracing chain their hooks instead of displacing each other.
+// TestTelemetryComposesWithTracing pins that EnableTelemetry and
+// EnableTraceTo chain their hooks instead of displacing each other.
 func TestTelemetryComposesWithTracing(t *testing.T) {
 	p, _ := buildSmallChain()
 	tel := p.EnableTelemetry()
-	tr := p.EnableTracing()
+	var trace bytes.Buffer
+	tr := obs.NewChromeWriter(&trace)
+	p.EnableTraceTo(tr)
 	p.Run(Milliseconds(30))
 
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
 	if tr.Len() == 0 {
-		t.Error("buffered trace saw no events")
+		t.Error("trace saw no events")
 	}
 	if tel.Events.Total() == 0 {
 		t.Error("event log saw no events")
