@@ -9,8 +9,9 @@
 //	nfvhypo -hypothesis h-liveness -dry-run
 //
 // Canonical JSON (without -observed) is byte-reproducible for a fixed
-// (hypothesis, seeds, rounds, scale) as long as the verdict reproduces:
-// it contains only the config matrix, seeds, fault plans, and pass/fail
+// (hypothesis, seeds, rounds, scale) on one host as long as the verdict
+// reproduces: it contains only the config matrix, seeds, fault plans, the
+// host stamp (GOMAXPROCS, CPU count and model, Go version) and pass/fail
 // bits — no timestamps or measured counters. Exit status is 0 only when
 // every requested hypothesis is Confirmed.
 package main

@@ -8,12 +8,13 @@ import (
 
 // Observation is one stage's receive-queue condition as its caller sampled
 // it: the simulated manager reads its rings' watermark flags and
-// time-above-high, the live engine compares rx.Len() against its watermarks
-// (and forces AboveHigh for a remote stage whose peer echoes ECN).
+// time-above-high, the live engine compares the deeper of rx.Len() and the
+// depth a mover posted at enqueue time against its watermarks (and forces
+// AboveHigh for a remote stage whose peer echoes ECN).
 type Observation struct {
 	AboveHigh, BelowLow bool
 	// TimeAbove is how long the queue has been above the high watermark (0
-	// for a caller that only sees depth at the tick).
+	// for a caller that runs with no watch window).
 	TimeAbove simtime.Cycles
 	// Depth is the occupancy the flags were derived from. The controller
 	// never reads it; a caller that journals an Edge finds the causing

@@ -18,10 +18,13 @@ type Config struct {
 	// 0 takes min(Cores, GOMAXPROCS). With Movers > 1 the Sink callback
 	// may be invoked concurrently from multiple movers.
 	Movers int
-	// BackpressurePeriod is the control plane's queue-length sampling
-	// cadence: how often the watermark backpressure state machine runs
-	// (the paper's 1 ms load-estimation interval; 0 takes the 1 ms
-	// default).
+	// BackpressurePeriod is the control plane's release cadence: how often
+	// the watermark backpressure policy is stepped when no mover has asked
+	// for it. A queue crossing its high watermark is noticed by the mover
+	// that enqueues into it, which has the policy stepped at once; the
+	// period paces what no enqueue announces — release at the low
+	// watermark, the remote ECN windows — and is the fallback sample of
+	// every queue (the paper's 1 ms interval; 0 takes the 1 ms default).
 	BackpressurePeriod time.Duration
 	// RingSize is each stage's receive/transmit ring capacity (rounded up
 	// to a power of two).

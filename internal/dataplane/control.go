@@ -11,12 +11,16 @@ import (
 )
 
 // controlLoop is the decoupled control plane: the engine clock, the
-// watermark backpressure state machine (every Config.BackpressurePeriod,
-// the paper's 1 ms load-estimation cadence), stage supervision, and the
-// rate-cost weight controller (every Config.WeightPeriod, the paper's
-// 10 ms weight push). It runs on Run's own goroutine so the hot path —
-// schedulers granting, workers processing, movers shuttling — never
-// carries control work.
+// watermark backpressure policy, stage supervision, and the rate-cost weight
+// controller (every Config.WeightPeriod, the paper's 10 ms weight push). It
+// runs on Run's own goroutine so the hot path — schedulers granting, workers
+// processing, movers shuttling — never carries control work.
+//
+// Detection is not here: a mover notices a queue at its high watermark as it
+// enqueues (postHigh) and pokes this loop, which steps the policy at once.
+// Config.BackpressurePeriod is the cadence of everything a poke does not
+// announce — release at the low watermark, the remote ECN windows — and the
+// fallback sample for a crossing no enqueue saw.
 func (e *Engine) controlLoop(ctx context.Context) {
 	tick := e.cfg.BackpressurePeriod
 	if tick > controlTickMax {
@@ -25,19 +29,27 @@ func (e *Engine) controlLoop(ctx context.Context) {
 	if e.cfg.WeightPeriod > 0 && e.cfg.WeightPeriod < tick {
 		tick = e.cfg.WeightPeriod
 	}
+	timer := newGrantTimer()
+	defer timer.Stop()
 	lastBP := time.Now()
 	lastW := lastBP
+	poked := false
 	for ctx.Err() == nil {
 		now := time.Now()
 		e.coarseNanos.Store(now.UnixNano())
-		if now.Sub(lastBP) >= e.cfg.BackpressurePeriod {
+		due := now.Sub(lastBP) >= e.cfg.BackpressurePeriod
+		if due {
+			lastBP = now
 			// Fold remote ECN echoes into their observers first so the
 			// backpressure pass sees fresh cross-host congestion signals.
+			// Once per period, never on a poke: the observer's hysteresis
+			// counts these windows.
 			if len(e.remotes) > 0 {
 				e.updateRemoteECN()
 			}
+		}
+		if due || poked {
 			e.updateBackpressure()
-			lastBP = now
 		}
 		// Flight recorder: completed spans drain here, off the hot path —
 		// the histogram observes and the span sink run on this goroutine.
@@ -47,7 +59,16 @@ func (e *Engine) controlLoop(ctx context.Context) {
 			e.updateWeights(now, now.Sub(lastW))
 			lastW = now
 		}
-		time.Sleep(tick)
+		timer.Reset(tick)
+		select {
+		case <-e.poke:
+			poked = true
+			if !timer.Stop() {
+				<-timer.C
+			}
+		case <-timer.C:
+			poked = false
+		}
 	}
 }
 
@@ -56,13 +77,18 @@ func (e *Engine) controlLoop(ctx context.Context) {
 // backpressure cadence is long.
 const controlTickMax = 100 * time.Microsecond
 
-// initControl fixes the topology for the control plane: Run calls it once
-// every stage and chain is registered.
+// initControl fixes the topology for the control plane: the shared
+// backpressure controller, the per-core stage groups of the weight step, and
+// each stage's upstream set for the movers' postHigh. Run calls it once every
+// stage and chain is registered.
 func (e *Engine) initControl() {
 	e.startWall = time.Now()
-	// The simulated manager's controller, with one parameter different: the
-	// engine sees depth only at the tick, not how long a queue has been above
-	// its watermark, so it throttles on the first over-watermark sample.
+	// The simulated manager's controller, with one parameter different, by
+	// choice: the engine throttles on the first over-watermark observation.
+	// The simulator's 50 µs watch window exists to let a short burst pass; a
+	// live ring's headroom above HIGH (205 slots of the default 1024) fills in
+	// less than that behind a multi-Mpps stage, so waiting it out would spend
+	// the headroom the watermark is there to keep.
 	e.bp = bp.NewController(bp.Params{QueueTimeThreshold: 0},
 		len(e.stages), e.chains, bp.NewChainThrottles())
 	e.bpObs = make([]bp.Observation, len(e.stages))
@@ -70,16 +96,73 @@ func (e *Engine) initControl() {
 	for _, s := range e.stages {
 		e.byCore[s.core] = append(e.byCore[s.core], s)
 	}
+	// dst.upstream is what the controller's selectYields returns when dst is
+	// the only throttling stage — the same walk up from each chain's tail,
+	// where a visit with dst not further down vetoes the stage. Any step that
+	// throttles dst yields at least these, so a mover raising them ahead of
+	// the step can never make a shared stage (Fig. 8) yield wrongly.
+	up := make([]bool, len(e.stages))
+	for _, dst := range e.stages {
+		clear(up)
+		for _, chain := range e.chains {
+			for _, s := range chain {
+				up[s] = true
+			}
+		}
+		for _, chain := range e.chains {
+			below := false
+			for hop := len(chain) - 1; hop >= 0; hop-- {
+				if !below {
+					up[chain[hop]] = false
+				}
+				below = below || chain[hop] == dst.id
+			}
+		}
+		for i, s := range e.stages {
+			if up[i] {
+				dst.upstream = append(dst.upstream, s)
+			}
+		}
+	}
 }
 
-// updateBackpressure samples every stage's receive queue against the
-// watermarks, steps the backpressure controller, and applies what it
+// postHigh is watermark detection, where the paper's manager has it: on the
+// Tx thread, as it enqueues. The mover that finds dst's receive queue at or
+// over the high watermark right after EnqueueBatch — and no post pending —
+// leaves the depth it saw for the control goroutine, tells the stages that
+// only feed dst to relinquish the CPU now (packets they would process have
+// nowhere to go but dst's ring), and pokes the control loop, which steps the
+// policy with that depth: the gate, the journal, claim counts and every
+// release stay there. Plain idempotent stores, no allocation; kept out of
+// line so the enqueue loops carry only the compare (a helper around the
+// compare itself is over the inliner's budget and would be a call per run).
+//
+//go:noinline
+func (e *Engine) postHigh(dst *stage, depth int) {
+	dst.hot.Store(int32(depth))
+	for _, s := range dst.upstream {
+		s.yield.Store(true)
+	}
+	select {
+	case e.poke <- struct{}{}:
+	default:
+	}
+}
+
+// updateBackpressure observes every stage's receive queue against the
+// watermarks — the deeper of what a mover posted at enqueue time and what the
+// ring holds now — steps the backpressure controller, and applies what it
 // decided: chain-entry gates, one journaled Decision per gate edge naming
 // the stage that raised or released it with the depth observed there, and
-// the upstream yield flags.
+// the upstream yield flags. A post that lands after its stage was read here
+// stays pending with its poke, so the yield stores below can undo a mover's
+// early yield only until the next step, which the poke makes immediate.
 func (e *Engine) updateBackpressure() {
 	for i, s := range e.stages {
 		l := s.rx.Len()
+		if s.hot.Load() != 0 {
+			l = max(l, int(s.hot.Swap(0)))
+		}
 		o := bp.Observation{AboveHigh: l >= e.highWater, BelowLow: l < e.lowWater, Depth: l}
 		if s.rem != nil && s.rem.ecnActive.Load() {
 			// The peer engine is congested (sustained ECN echoes): treat the
@@ -104,12 +187,15 @@ func (e *Engine) updateBackpressure() {
 			if st.rem != nil {
 				d.Note = st.rem.bpCause()
 			}
-			e.ThrottleEvents.Add(1)
 		}
-		// Journal first: whoever observes the gate closed finds its cause
-		// already recorded.
+		// Journal, then gate, then counter: whoever observes the gate closed
+		// finds its cause already recorded, and whoever observes the event
+		// counted finds the gate closed.
 		e.record(d)
 		e.throttled[ed.Chain].Store(ed.On)
+		if ed.On {
+			e.ThrottleEvents.Add(1)
+		}
 	}
 	for i, s := range e.stages {
 		s.yield.Store(e.bp.Yield(i))

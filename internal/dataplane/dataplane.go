@@ -34,10 +34,11 @@
 // serializes stage execution (the shared-CPU-core regime the paper studies)
 // while keeping handlers free to block briefly on their own I/O. The TX path is sharded (mover.go): the
 // paper's manager TX threads map to Config.Movers mover goroutines, each
-// owning a static partition of the stages' tx rings, while backpressure,
-// supervision and the weight controller run on a decoupled control
-// goroutine at the paper's cadences (Config.BackpressurePeriod 1 ms,
-// Config.WeightPeriod 10 ms).
+// owning a static partition of the stages' tx rings and, like them, noticing
+// a receive queue at its high watermark as they enqueue (postHigh), while
+// the backpressure policy that acts on it, supervision and the weight
+// controller run on a decoupled control goroutine at the paper's cadences
+// (Config.BackpressurePeriod 1 ms, Config.WeightPeriod 10 ms).
 //
 // Failure model: stages are supervised (see supervise.go). A handler panic
 // fails only its stage; a handler that exceeds the grant deadline is
@@ -156,6 +157,13 @@ type stage struct {
 	rem    *remoteLink
 	weight atomic.Int64
 	yield  atomic.Bool
+	// hot is the enqueue-time watermark post: the rx depth (>= highWater, so
+	// never 0) a mover saw right after enqueueing here, 0 once the control
+	// goroutine has consumed it. upstream is who the posting mover tells to
+	// yield: the stages all of whose chains reach this one further down
+	// (fixed by initControl).
+	hot      atomic.Int32
+	upstream []*stage
 
 	// w is the live worker incarnation (grant/done channels, scratch,
 	// in-flight claim counter). Swapped on supervised restart; epoch
@@ -368,6 +376,9 @@ type Engine struct {
 	byCore   [][]*stage
 	wDemands []core.Demand
 	wShares  []int
+	// poke wakes the control goroutine ahead of its timer: a mover that
+	// posted a watermark crossing (postHigh) leaves its one token here.
+	poke chan struct{}
 
 	// rec is the flight recorder's span machinery (nil unless
 	// Config.TraceSampleShift > 0); spanSink optionally receives completed
@@ -455,6 +466,7 @@ func New(cfg Config) *Engine {
 		free:       ring.NewMPMC[*Packet](cfg.PoolSize),
 		drainBuf:   make([]*Packet, cfg.BatchSize),
 		jitterRand: rand.New(rand.NewSource(cfg.JitterSeed)),
+		poke:       make(chan struct{}, 1),
 	}
 	if cfg.TraceSampleShift > 0 {
 		e.rec = newRecorder(cfg.TraceSampleShift, cfg.TraceSpoolSize)

@@ -203,10 +203,9 @@ func TestBackpressureShedsAtEntry(t *testing.T) {
 		t.Skip("wall-clock test")
 	}
 	// A fast upstream feeding a very slow downstream: the chain must
-	// throttle at entry rather than queueing without bound. The tight
-	// sampling cadence keeps the wasted-work bound below at ring-depth
-	// granularity (at the default 1 ms cadence the fast stage can burn
-	// several rings' worth between samples).
+	// throttle at entry rather than queueing without bound. The mover that
+	// fills slow's ring raises the edge; the tight control cadence only
+	// makes release prompt, so the run sees many edges.
 	e := New(Config{RingSize: 128, BatchSize: 8, WeightPeriod: 0,
 		BackpressurePeriod: 50 * time.Microsecond})
 	fast := e.AddStage("fast", 1024, func(p *Packet) {})
@@ -218,22 +217,28 @@ func TestBackpressureShedsAtEntry(t *testing.T) {
 	defer cancel()
 	go e.Run(ctx)
 	// offer yields while the lane is full, so on a single-CPU box
-	// (GOMAXPROCS=1, -race) the producer cannot starve the control loop.
-	deadline := time.Now().Add(400 * time.Millisecond)
-	for time.Now().Before(deadline) {
+	// (GOMAXPROCS=1, -race) the producer cannot starve the control loop. There
+	// the planes take turns in a fixed order, and a run can go many throttle
+	// cycles with the mover's one lane drain per cycle always finding the gate
+	// just reopened: flood on, boundedly, until a drain has met it closed.
+	end := time.Now().Add(400 * time.Millisecond)
+	limit := end.Add(3 * time.Second)
+	for now := time.Now(); now.Before(end) || (e.EntryDrops.Load() == 0 && now.Before(limit)); now = time.Now() {
 		offer(h, &Packet{FlowID: 0})
 	}
 	if e.EntryDrops.Load() == 0 {
-		t.Fatal("overloaded chain never shed at entry")
+		t.Fatalf("overloaded chain never shed at entry: ledger %+v", e.LedgerSnapshot())
 	}
 	// Wasted work should be bounded: the fast stage must not have
-	// processed vastly more than the slow one (default platforms waste a
-	// ring's worth at every cycle; here it is bounded by ring depth plus
-	// the control plane's sampling slack — on a 1-CPU host the decoupled
-	// control goroutine's wakeups lag its nominal cadence, so allow a few
-	// extra rings; without backpressure the excess grows without bound).
+	// processed vastly more than the slow one. The rings between them hold
+	// two rings' worth; beyond that, what each edge can still waste is the
+	// fast stage's tx backlog when the mover lags the scheduler (it parks
+	// during slow's 1.6 ms grants and fast runs many grants before it is
+	// back) — a fraction of what slow processes between two edges, however
+	// long the flood ran. Without backpressure the fast stage processes
+	// everything offered, hundreds of times slow's count.
 	st := e.Stats()
-	if st[0].Processed > st[1].Processed+8*128 {
+	if st[0].Processed > st[1].Processed+2*128+st[1].Processed/2 {
 		t.Fatalf("wasted work: fast=%d slow=%d", st[0].Processed, st[1].Processed)
 	}
 }
@@ -272,7 +277,11 @@ func TestThrottleClears(t *testing.T) {
 	}
 	// Every release is journaled against the stage whose machine held the
 	// claim — the bottleneck that raised it — not whichever queue happened
-	// to be deepest when the chain cleared.
+	// to be deepest when the chain cleared. Which stage that is belongs to the
+	// host: detection at enqueue sees every crossing, and a mover the host
+	// held up can burst slow's whole tx backlog past HIGH into tail. So pair
+	// the edges instead of naming a stage; the engine is still running, so a
+	// last bp_on may not have its bp_off yet.
 	edges := e.Decisions().Filter(0, func(d Decision) bool {
 		return d.Kind == DecisionBPOn || d.Kind == DecisionBPOff
 	})
@@ -280,13 +289,19 @@ func TestThrottleClears(t *testing.T) {
 		t.Fatalf("journal holds %d backpressure edges, want an on/off pair", len(edges))
 	}
 	for i, d := range edges {
-		wantKind := DecisionBPOn
-		if i%2 == 1 {
-			wantKind = DecisionBPOff
+		if d.Chain != ch {
+			t.Fatalf("edge %d = %v names chain %d, want %d", i, d.Kind, d.Chain, ch)
 		}
-		if d.Kind != wantKind || d.Chain != ch || d.Stage != "slow" {
-			t.Fatalf("edge %d = %v chain %d stage %q, want %v chain %d stage \"slow\"",
-				i, d.Kind, d.Chain, d.Stage, wantKind, ch)
+		if i%2 == 0 {
+			if d.Kind != DecisionBPOn || d.QueueDepth < d.HighWater {
+				t.Fatalf("edge %d = %v stage %q depth %d, want a bp_on at or over %d",
+					i, d.Kind, d.Stage, d.QueueDepth, d.HighWater)
+			}
+			continue
+		}
+		if on := edges[i-1]; d.Kind != DecisionBPOff || d.Stage != on.Stage {
+			t.Fatalf("edge %d = %v stage %q, want the bp_off of stage %q's bp_on",
+				i, d.Kind, d.Stage, on.Stage)
 		}
 	}
 }

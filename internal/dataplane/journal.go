@@ -103,8 +103,9 @@ type Decision struct {
 	Chain int          `json:"chain"`
 	Stage string       `json:"stage,omitempty"`
 
-	// Backpressure cause: the observed queue depth against the watermarks
-	// at decision time.
+	// Backpressure cause: the observed queue depth against the watermarks —
+	// for a bp_on, the deeper of what the enqueuing mover posted and what
+	// the ring held at decision time.
 	QueueDepth int `json:"qdepth,omitempty"`
 	HighWater  int `json:"high_water,omitempty"`
 	LowWater   int `json:"low_water,omitempty"`

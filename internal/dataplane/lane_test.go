@@ -431,22 +431,36 @@ func TestLanePreAcceptanceClasses(t *testing.T) {
 			func(l *Ledger) { l.FaultEntryDrops += n }},
 		{"full entry ring", 0,
 			func(t *testing.T, v *env) {
-				// Park the worker inside the handler (gate open) holding
-				// one packet, so from here the entry ring only fills:
-				// offer until it overflows, then wait for the mover to
-				// have routed everything the lane took.
+				// Park the worker inside the handler (gate open) holding one
+				// packet, so from here the entry ring only fills: offer until
+				// the entry stops taking. The mover that puts the ring at its
+				// high watermark posts the crossing, so the saturated entry
+				// closes its own gate: what overflowed meanwhile is RingDrops,
+				// everything after it EntryDrops, both pre-acceptance — and
+				// with the ring stuck above LOW the gate stays closed for the
+				// n offers the case measures.
 				offer(v.h, v.e.GetPacket())
 				<-v.inside
 				filler := 1
-				for v.e.RingDrops.Load() == 0 {
-					offer(v.h, v.e.GetPacket())
-					filler++
-				}
+				waitFor(t, 5*time.Second, "entry saturated", func() bool {
+					for i := 0; i < v.e.cfg.RingSize; i++ {
+						offer(v.h, v.e.GetPacket())
+						filler++
+					}
+					l := v.e.LedgerSnapshot()
+					return l.RingDrops+l.EntryDrops > 0
+				})
+				waitFor(t, 5*time.Second, "saturated entry closed its own gate", func() bool {
+					return v.e.Throttled(v.chain)
+				})
 				waitFor(t, 5*time.Second, "filler routed", func() bool {
 					return routed(v.e.LedgerSnapshot()) == uint64(filler)
 				})
+				if l := v.e.LedgerSnapshot(); l.MidRingDrops != 0 || int(l.Injected) > v.e.cfg.RingSize+1 {
+					t.Fatalf("entry overflow charged post-acceptance: %+v", l)
+				}
 			},
-			func(l *Ledger) { l.RingDrops += n }},
+			func(l *Ledger) { l.EntryDrops += n }},
 		{"unrouted flow", 99,
 			func(t *testing.T, v *env) {},
 			func(l *Ledger) { l.UnroutedDrops += n }},
@@ -456,9 +470,10 @@ func TestLanePreAcceptanceClasses(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			// The control loop never runs the watermark machine (hour-long
-			// period) and never detaches the blocked handler, so the armed
-			// state holds for the whole case.
+			// The control loop never samples or releases on its own (hour-long
+			// period: it steps only when a mover posts a crossing) and never
+			// detaches the blocked handler, so the armed state holds for the
+			// whole case.
 			e := New(Config{RingSize: 64, BatchSize: 8, FrameSize: 8, WeightPeriod: 0,
 				BackpressurePeriod: time.Hour, GrantTimeout: -1, DrainTimeout: time.Second})
 			v := &env{e: e, gate: make(chan struct{}), inside: make(chan struct{}, 1),

@@ -271,6 +271,11 @@ func (e *Engine) enqueueRouted(ps []*Packet, now int64, rc *recycler) {
 			e.FaultEntryDrops.Add(uint64(len(run)))
 		default:
 			n := entry.rx.EnqueueBatch(run)
+			// A saturated entry closes its own gate: same check as the
+			// forward run in moveStages.
+			if l := entry.rx.Len(); l >= e.highWater && entry.hot.Load() == 0 {
+				e.postHigh(entry, l)
+			}
 			accepted += uint64(n)
 			shed = run[n:]
 			if d := uint64(len(shed)); d > 0 {

@@ -292,7 +292,9 @@ func (e *Engine) moveAll() { e.moveStages(e.stages, e.drainBuf, e.drainRC) }
 // moveStages drains each given stage's tx ring toward the next hop or the
 // sink (the paper's TX-thread role), in batches: runs of packets bound for
 // the same destination ring are forwarded with one
-// reservation, and all engine counters are flushed once per drained batch
+// reservation (a destination then found at its high watermark is posted to
+// the control plane, see postHigh), and all engine counters are flushed once
+// per drained batch
 // (add-N, not N adds). Every piece of scratch state — the drain buffer, the
 // latency run-length encoder, the counter accumulators — is local to the
 // call, so concurrent movers over disjoint partitions share nothing but
@@ -384,6 +386,11 @@ func (e *Engine) moveStages(stages []*stage, buf []*Packet, rc *recycler) int {
 				run := buf[i:j]
 				dst.arrivals.Add(uint64(len(run)))
 				n := dst.rx.EnqueueBatch(run)
+				// Watermark detection is the enqueuer's: one compare per
+				// run, the rest out of line and only on a crossing.
+				if l := dst.rx.Len(); l >= e.highWater && dst.hot.Load() == 0 {
+					e.postHigh(dst, l)
+				}
 				if n < len(run) {
 					// Work already invested in these packets is wasted; the
 					// drop itself happens at dst's full receive ring.

@@ -2,6 +2,7 @@ package dataplane
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"nfvnice/internal/mgr"
 	"nfvnice/internal/nf"
 	"nfvnice/internal/packet"
+	"nfvnice/internal/telemetry"
 )
 
 // TestPolicyDifferential is the check that simulator and engine share one
@@ -172,5 +174,210 @@ func TestWeightsIgnoreOutlierTick(t *testing.T) {
 	}
 	if got := e.Stats()[0].EstCost; got != 100*time.Nanosecond {
 		t.Fatalf("light EstCost = %v after the outlier, want 100ns", got)
+	}
+}
+
+// fig8Stretched is the Fig. 8 topology — two chains sharing their first and
+// last stage — with chain 0's middle stretched to two stages, so that its
+// bottleneck (stage 2) has an upstream stage of its own (stage 1) besides the
+// shared entry (stage 0).
+var fig8Stretched = [][]int{{0, 1, 2, 4}, {0, 3, 4}}
+
+// newEdgeEngine builds fig8Stretched on an engine that is never Run: the
+// test is its movers and its control loop, so nothing depends on the clock.
+func newEdgeEngine(t *testing.T) *Engine {
+	t.Helper()
+	e := New(Config{RingSize: 64, BatchSize: 8})
+	for i := 0; i < 5; i++ {
+		e.AddStage("nf"+string(rune('0'+i)), 1024, func(*Packet) {})
+	}
+	for _, c := range fig8Stretched {
+		if _, err := e.AddChain(c...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.initControl()
+	return e
+}
+
+// forward plays stage from's worker and mover: n packets of the chain, done
+// at from, are put in its tx ring and one moveStages pass forwards them.
+func forward(e *Engine, from, chain, n int) {
+	hop := slices.Index(e.chains[chain], from) + 1
+	for i := 0; i < n; i++ {
+		e.stages[from].tx.Enqueue(&Packet{ChainID: chain, Hop: hop})
+	}
+	e.moveStages(e.stages[from:from+1], e.drainBuf, e.drainRC)
+}
+
+func yields(e *Engine) []bool {
+	out := make([]bool, len(e.stages))
+	for i, s := range e.stages {
+		out[i] = s.yield.Load()
+	}
+	return out
+}
+
+// TestEnqueueEdgeUpstreamSets holds the movers' static yield sets to the
+// policy they run ahead of: for every stage, what postHigh raises must be
+// exactly what the shared controller selects when that stage alone throttles.
+func TestEnqueueEdgeUpstreamSets(t *testing.T) {
+	e := newEdgeEngine(t)
+	for _, dst := range e.stages {
+		c := bp.NewController(bp.Params{}, len(e.stages), e.chains, bp.NewChainThrottles())
+		obs := make([]bp.Observation, len(e.stages))
+		for i := range obs {
+			obs[i].BelowLow = true
+		}
+		obs[dst.id] = bp.Observation{AboveHigh: true}
+		c.Step(obs)
+		want := make([]bool, len(e.stages))
+		got := make([]bool, len(e.stages))
+		for i := range e.stages {
+			want[i] = c.Yield(i)
+		}
+		for _, s := range dst.upstream {
+			got[s.id] = true
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("stage %d: upstream set %v, controller yields %v", dst.id, got, want)
+		}
+	}
+}
+
+// TestEnqueueEdgeBeforeControlStep walks one watermark edge through its three
+// owners. The mover that puts stage 2 over HIGH posts the depth, makes the
+// stage that feeds only stage 2 yield and leaves the shared entry running —
+// all before any control step. The step then journals a bp_on carrying the
+// enqueue-time depth, closes the gate only once that entry exists and counts
+// the event only once the gate is closed; a drain below LOW releases gate and
+// yield through the same step.
+func TestEnqueueEdgeBeforeControlStep(t *testing.T) {
+	e := newEdgeEngine(t)
+	bottleneck := e.stages[2]
+	log := telemetry.NewEventLog(0)
+	e.SetEventLog(log)
+	log.AddSink(func(ev telemetry.Event) {
+		// Emitted from record, after the journal append.
+		if ev.Type != "bp_on" {
+			return
+		}
+		if n := len(e.Decisions().Filter(0, func(d Decision) bool { return d.Kind == DecisionBPOn })); n != 1 {
+			t.Errorf("bp_on emitted with %d bp_on entries in the journal, want 1", n)
+		}
+		if e.Throttled(0) || e.ThrottleEvents.Load() != 0 {
+			t.Errorf("gate closed (%v) or event counted (%d) before the journal entry was complete",
+				e.Throttled(0), e.ThrottleEvents.Load())
+		}
+	})
+
+	forward(e, 1, 0, e.highWater-1)
+	if got := bottleneck.hot.Load(); got != 0 || len(e.poke) != 0 {
+		t.Fatalf("depth %d posted (poke %d) one packet below HIGH", got, len(e.poke))
+	}
+	forward(e, 1, 0, 5)
+	posted := e.highWater + 4
+	if got := int(bottleneck.hot.Load()); got != posted {
+		t.Fatalf("posted depth %d, want %d", got, posted)
+	}
+	if got, want := yields(e), []bool{false, true, false, false, false}; !slices.Equal(got, want) {
+		t.Fatalf("yield flags before any control step %v, want %v", got, want)
+	}
+	if len(e.poke) != 1 {
+		t.Fatal("mover did not poke the control loop")
+	}
+	if e.Throttled(0) || e.Decisions().Total() != 0 {
+		t.Fatal("mover wrote the gate or the journal")
+	}
+
+	// The worker takes a batch before the control goroutine gets to run: the
+	// edge must still carry what the mover saw.
+	for i := 0; i < 8; i++ {
+		bottleneck.rx.Dequeue()
+	}
+	<-e.poke
+	e.updateBackpressure()
+	on := e.Decisions().Tail(0)
+	if len(on) != 1 || on[0].Kind != DecisionBPOn || on[0].Chain != 0 ||
+		on[0].Stage != bottleneck.name || on[0].QueueDepth != posted {
+		t.Fatalf("journal after the step %+v, want one bp_on chain 0 stage %s depth %d", on, bottleneck.name, posted)
+	}
+	if !e.Throttled(0) || e.Throttled(1) || e.ThrottleEvents.Load() != 1 {
+		t.Fatalf("gates after the step: chain 0 %v chain 1 %v, %d events", e.Throttled(0), e.Throttled(1), e.ThrottleEvents.Load())
+	}
+	if got, want := yields(e), []bool{false, true, false, false, false}; !slices.Equal(got, want) {
+		t.Fatalf("yield flags after the step %v, want %v", got, want)
+	}
+	if bottleneck.hot.Load() != 0 {
+		t.Fatal("step did not consume the post")
+	}
+
+	for bottleneck.rx.Len() >= e.lowWater {
+		bottleneck.rx.Dequeue()
+	}
+	e.updateBackpressure()
+	if off := e.Decisions().Tail(0); len(off) != 2 || off[1].Kind != DecisionBPOff || off[1].Stage != bottleneck.name {
+		t.Fatalf("journal after the drain %+v, want a bp_off of stage %s", off, bottleneck.name)
+	}
+	if e.Throttled(0) || slices.Contains(yields(e), true) {
+		t.Fatalf("drain below LOW left chain 0 throttled=%v, yields %v", e.Throttled(0), yields(e))
+	}
+}
+
+// TestEnqueueEdgePostSurvivesStep is the lost-update race, interleaved by
+// hand: a mover posts stage 2's crossing while the control goroutine is inside
+// a step that has already read stage 2. That step's yield stores undo the
+// mover's early yield, but the post and its poke stay pending, so the next
+// step — immediate in controlLoop — throttles the chain with the posted depth.
+func TestEnqueueEdgePostSurvivesStep(t *testing.T) {
+	e := newEdgeEngine(t)
+	log := telemetry.NewEventLog(0)
+	e.SetEventLog(log)
+	posted := e.highWater + 2
+	raced := false
+	log.AddSink(func(ev telemetry.Event) {
+		// Stage 3's bp_on is recorded after every stage was observed and
+		// before the yield flags are stored: the window the race needs.
+		if ev.Type == "bp_on" && !raced {
+			raced = true
+			forward(e, 1, 0, posted)
+		}
+	})
+
+	forward(e, 0, 1, e.highWater)
+	<-e.poke
+	e.updateBackpressure()
+	if !raced || !e.Throttled(1) {
+		t.Fatalf("first step: raced=%v chain 1 throttled=%v", raced, e.Throttled(1))
+	}
+	if e.Throttled(0) {
+		t.Fatal("first step throttled chain 0 on a post it had not consumed")
+	}
+	if got := int(e.stages[2].hot.Load()); got != posted {
+		t.Fatalf("post after the racing step = %d, want %d still pending", got, posted)
+	}
+	select {
+	case <-e.poke:
+	default:
+		t.Fatal("poke lost: the next step would wait for the period")
+	}
+	// The mover's hold has moved on meanwhile; only the post remembers it.
+	for i := 0; i < 8; i++ {
+		e.stages[2].rx.Dequeue()
+	}
+	e.updateBackpressure()
+	// Both chains shed now, so the shared entry yields as well: the
+	// controller's selection, one no mover's static set could make.
+	if got, want := yields(e), []bool{true, true, false, false, false}; !e.Throttled(0) || !slices.Equal(got, want) {
+		t.Fatalf("second step: chain 0 throttled=%v, yields %v, want %v", e.Throttled(0), got, want)
+	}
+	var on Decision
+	for _, d := range e.Decisions().Tail(0) {
+		if d.Kind == DecisionBPOn && d.Chain == 0 {
+			on = d
+		}
+	}
+	if on.QueueDepth != posted {
+		t.Fatalf("chain 0 bp_on depth %d, want the posted %d", on.QueueDepth, posted)
 	}
 }

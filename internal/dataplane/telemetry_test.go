@@ -152,11 +152,14 @@ func TestScrapeWhileRunning(t *testing.T) {
 // TestStageDropAndWastedCounters pins the attribution of the new per-stage
 // counters: a packet that dies at the slow second stage's full receive ring
 // is wasted work charged to the stage that processed it, and overdriving the
-// small entry ring charges queue drops to the entry stage. HighFrac 1.0
-// disables early entry shedding so the rings genuinely fill, and two cheap
-// entry stages feed the one slow stage, so every scheduling round offers it
-// two batches for the one it drains: its ring overflows by construction,
-// not by how a single CPU happens to interleave producer and pipeline.
+// small entry ring charges queue drops to the entry stage. HighFrac 1.0 puts
+// the watermark at the ring's capacity, so a ring has to fill before its
+// chain sheds, and two cheap entry stages feed the one slow stage, so every
+// scheduling round offers it two batches for the one it drains: its ring
+// overflows by construction, not by how a single CPU happens to interleave
+// producer and pipeline. The entry rings overflow by construction too: a
+// burst longer than the ring waits in the lane when Run starts, and the part
+// of it that does not fit is dropped before the full ring can close its gate.
 func TestStageDropAndWastedCounters(t *testing.T) {
 	e := New(Config{RingSize: 16, BatchSize: 8, WeightPeriod: 0, HighFrac: 1.0, LowFrac: 0.5})
 	a := e.AddStage("a", 1024, func(p *Packet) {})
@@ -171,6 +174,10 @@ func TestStageDropAndWastedCounters(t *testing.T) {
 	}
 	reg := telemetry.NewRegistry()
 	e.RegisterMetrics(reg)
+	h := e.ProducerHandle(64)
+	for i := 0; i < 48; i++ {
+		offer(h, &Packet{FlowID: i / 24, Size: 64})
+	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -182,7 +189,6 @@ func TestStageDropAndWastedCounters(t *testing.T) {
 		st := e.Stats()
 		return st[a].Wasted + st[a2].Wasted, st[a].QueueDrops + st[a2].QueueDrops
 	}
-	h := e.ProducerHandle(0)
 	deadline := time.Now().Add(3 * time.Second)
 	for time.Now().Before(deadline) {
 		offer(h, &Packet{FlowID: 0, Size: 64})

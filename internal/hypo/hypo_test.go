@@ -185,6 +185,13 @@ func TestCanonicalJSONDeterministic(t *testing.T) {
 	if !strings.Contains(string(o1), "observed") || strings.Contains(string(c1), "observed") {
 		t.Fatal("observed block present/absent in the wrong outputs")
 	}
+	// The host stamp is part of the canonical set: a verdict is only
+	// comparable with one recorded at the same parallelism.
+	for _, key := range []string{`"gomaxprocs"`, `"num_cpu"`, `"cpu_model"`, `"go_version"`} {
+		if !strings.Contains(string(c1), key) {
+			t.Fatalf("canonical output has no %s stamp:\n%s", key, c1)
+		}
+	}
 }
 
 func TestMarkdownReport(t *testing.T) {
@@ -204,7 +211,7 @@ func TestMarkdownReport(t *testing.T) {
 	}
 	md := Markdown(res)
 	for _, want := range []string{
-		"## Result: REFUTED", "the claim text", "1 configs x 1 seeds x 1 rounds",
+		"## Result: REFUTED", "the claim text", "1 configs x 1 seeds x 1 rounds", "**Host:** GOMAXPROCS",
 		"| bad | refuted |", "| good | confirmed |", "it broke",
 	} {
 		if !strings.Contains(md, want) {

@@ -4,10 +4,11 @@ package hypo
 // markdown for the hypotheses/<name>/FINDINGS.md ledgers.
 //
 // Canonical JSON is byte-reproducible for a fixed (config matrix, seeds,
-// rounds, scale) as long as the verdict reproduces: it contains only data
-// that is a pure function of those inputs plus the per-check pass/fail
-// bits. Observed counters (delivered totals, drop classes — measured, not
-// deterministic) are stripped unless explicitly requested.
+// rounds, scale) on one host as long as the verdict reproduces: it contains
+// only data that is a pure function of those inputs, the host stamp (Env)
+// and the per-check pass/fail bits. Observed counters (delivered totals,
+// drop classes — measured, not deterministic) are stripped unless explicitly
+// requested.
 
 import (
 	"encoding/json"
@@ -42,6 +43,8 @@ func Markdown(res Result) string {
 		len(res.Configs), len(res.Seeds), res.Rounds,
 		len(res.Runs), res.Scale)
 	fmt.Fprintf(&b, "**Seeds:** %s\n\n", joinSeeds(res.Seeds))
+	fmt.Fprintf(&b, "**Host:** GOMAXPROCS %d of %d CPUs, %s, %s\n\n",
+		res.Env.GOMAXPROCS, res.Env.NumCPU, res.Env.CPUModel, res.Env.GoVersion)
 
 	b.WriteString("### Config matrix\n\n")
 	axes := axisNames(res.Configs)

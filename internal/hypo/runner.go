@@ -2,6 +2,9 @@ package hypo
 
 import (
 	"fmt"
+	"os"
+	"runtime"
+	"strings"
 
 	"nfvnice/internal/faults"
 )
@@ -35,12 +38,40 @@ type RunResult struct {
 	Observed map[string]uint64 `json:"observed,omitempty"`
 }
 
+// Env is the host a result set was recorded on. The verdicts of the
+// wall-clock experiments belong to it: h-degradation was Confirmed on one
+// CPU and refuted on two, and the ledger that did not say which was no use.
+type Env struct {
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"num_cpu"`
+	CPUModel   string `json:"cpu_model"`
+	GoVersion  string `json:"go_version"`
+}
+
+// hostEnv reads the stamp for this process.
+func hostEnv() Env {
+	env := Env{GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(),
+		CPUModel: "unknown", GoVersion: runtime.Version()}
+	b, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return env // not Linux: the model stays unknown
+	}
+	for _, line := range strings.Split(string(b), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			env.CPUModel = strings.TrimSpace(v)
+			break
+		}
+	}
+	return env
+}
+
 // Result is the full outcome of a hypothesis: every run plus the per-check
 // and overall verdicts.
 type Result struct {
 	Hypothesis string      `json:"hypothesis"`
 	Title      string      `json:"title"`
 	Claim      string      `json:"claim"`
+	Env        Env         `json:"env"`
 	Scale      float64     `json:"scale"`
 	Rounds     int         `json:"rounds"`
 	Seeds      []uint64    `json:"seeds"`
@@ -74,6 +105,7 @@ func Run(e Experiment, opt Options) (Result, error) {
 		Hypothesis: e.Name,
 		Title:      e.Title,
 		Claim:      e.Claim,
+		Env:        hostEnv(),
 		Scale:      opt.Scale,
 		Rounds:     opt.Rounds,
 		Seeds:      opt.Seeds,
