@@ -11,17 +11,20 @@ type Config struct {
 	// core with AddStageOn and contend only with co-resident stages, as
 	// NFs pinned to CPU cores do (default 1).
 	Cores int
-	// Movers is the number of TX-path mover goroutines (the paper's
-	// manager TX threads). Each mover owns a static partition of the
-	// stages' tx rings — stage i belongs to mover i mod Movers — so every
-	// tx ring keeps a single consumer and per-flow FIFO is preserved.
-	// 0 takes min(Cores, GOMAXPROCS). With Movers > 1 the Sink callback
-	// may be invoked concurrently from multiple movers.
+	// Movers is the number of mover goroutines, the chain's ingress and
+	// egress (the paper's manager RX and TX threads). Each drains the
+	// inject lanes bound to it and owns a static partition of the stages'
+	// tx rings — stage i belongs to mover i mod Movers — which hold only
+	// packets that finished their chain, so every tx ring keeps a single
+	// consumer and per-flow FIFO is preserved; mid-chain hops never pass
+	// through a mover. 0 takes min(Cores, GOMAXPROCS). With Movers > 1 the
+	// Sink callback may be invoked concurrently from multiple movers; with
+	// Movers == 1 never.
 	Movers int
 	// BackpressurePeriod is the control plane's release cadence: how often
-	// the watermark backpressure policy is stepped when no mover has asked
-	// for it. A queue crossing its high watermark is noticed by the mover
-	// that enqueues into it, which has the policy stepped at once; the
+	// the watermark backpressure policy is stepped when no enqueuer has
+	// asked for it. A queue crossing its high watermark is noticed by
+	// whoever enqueues into it, which has the policy stepped at once; the
 	// period paces what no enqueue announces — release at the low
 	// watermark, the remote ECN windows — and is the fallback sample of
 	// every queue (the paper's 1 ms interval; 0 takes the 1 ms default).

@@ -14,10 +14,12 @@ import (
 // watermark backpressure policy, stage supervision, and the rate-cost weight
 // controller (every Config.WeightPeriod, the paper's 10 ms weight push). It
 // runs on Run's own goroutine so the hot path — schedulers granting, workers
-// processing, movers shuttling — never carries control work.
+// processing and forwarding, movers taking packets in and out — never
+// carries control work.
 //
-// Detection is not here: a mover notices a queue at its high watermark as it
-// enqueues (postHigh) and pokes this loop, which steps the policy at once.
+// Detection is not here: whoever enqueues into a queue — a mover at a chain
+// entry, a worker mid-chain — notices it at its high watermark (postHigh)
+// and pokes this loop, which steps the policy at once.
 // Config.BackpressurePeriod is the cadence of everything a poke does not
 // announce — release at the low watermark, the remote ECN windows — and the
 // fallback sample for a crossing no enqueue saw.
@@ -79,8 +81,8 @@ const controlTickMax = 100 * time.Microsecond
 
 // initControl fixes the topology for the control plane: the shared
 // backpressure controller, the per-core stage groups of the weight step, and
-// each stage's upstream set for the movers' postHigh. Run calls it once every
-// stage and chain is registered.
+// each stage's upstream set for the enqueuers' postHigh. Run calls it once
+// every stage and chain is registered.
 func (e *Engine) initControl() {
 	e.startWall = time.Now()
 	// The simulated manager's controller, with one parameter different, by
@@ -99,8 +101,8 @@ func (e *Engine) initControl() {
 	// dst.upstream is what the controller's selectYields returns when dst is
 	// the only throttling stage — the same walk up from each chain's tail,
 	// where a visit with dst not further down vetoes the stage. Any step that
-	// throttles dst yields at least these, so a mover raising them ahead of
-	// the step can never make a shared stage (Fig. 8) yield wrongly.
+	// throttles dst yields at least these, so an enqueuer raising them ahead
+	// of the step can never make a shared stage (Fig. 8) yield wrongly.
 	up := make([]bool, len(e.stages))
 	for _, dst := range e.stages {
 		clear(up)
@@ -126,9 +128,11 @@ func (e *Engine) initControl() {
 	}
 }
 
-// postHigh is watermark detection, where the paper's manager has it: on the
-// Tx thread, as it enqueues. The mover that finds dst's receive queue at or
-// over the high watermark right after EnqueueBatch — and no post pending —
+// postHigh is watermark detection, where the paper's manager has it: with
+// whoever enqueues, as it enqueues — the paper's Tx thread, here the lane
+// drain at a chain entry and the grant's forward mid-chain. The enqueuer
+// that finds dst's receive queue at or over the high watermark right after
+// EnqueueBatch — and no post pending —
 // leaves the depth it saw for the control goroutine, tells the stages that
 // only feed dst to relinquish the CPU now (packets they would process have
 // nowhere to go but dst's ring), and pokes the control loop, which steps the
@@ -150,13 +154,14 @@ func (e *Engine) postHigh(dst *stage, depth int) {
 }
 
 // updateBackpressure observes every stage's receive queue against the
-// watermarks — the deeper of what a mover posted at enqueue time and what the
-// ring holds now — steps the backpressure controller, and applies what it
-// decided: chain-entry gates, one journaled Decision per gate edge naming
-// the stage that raised or released it with the depth observed there, and
-// the upstream yield flags. A post that lands after its stage was read here
-// stays pending with its poke, so the yield stores below can undo a mover's
-// early yield only until the next step, which the poke makes immediate.
+// watermarks — the deeper of what an enqueuer posted at enqueue time and
+// what the ring holds now — steps the backpressure controller, and applies
+// what it decided: chain-entry gates, one journaled Decision per gate edge
+// naming the stage that raised or released it with the depth observed
+// there, and the upstream yield flags. A post that lands after its stage
+// was read here stays pending with its poke, so the yield stores below can
+// undo an enqueuer's early yield only until the next step, which the poke
+// makes immediate.
 func (e *Engine) updateBackpressure() {
 	for i, s := range e.stages {
 		l := s.rx.Len()

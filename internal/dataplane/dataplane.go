@@ -21,23 +21,27 @@
 // (by the Sink, or by the engine itself when none is set); every producer
 // owns a private single-producer inject lane (lanes.go), so producers never
 // contend with each other or with movers; stage receive rings are
-// CAS-reserve multi-producer rings so movers never take a lock; workers,
-// movers and producers move packets with bulk ring operations that publish
-// once per batch; and per-packet wall-clock reads are replaced by a coarse
-// engine clock sampled once per grant and once per moved or drained batch,
-// so end-to-end latency is accurate to within one batch quantum.
+// CAS-reserve multi-producer rings so movers and workers never take a lock;
+// workers, movers and producers move packets with bulk ring operations that
+// publish once per batch; and per-packet wall-clock reads are replaced by a
+// coarse engine clock sampled once per grant and once per moved or drained
+// batch, so end-to-end latency is accurate to within one batch quantum.
 //
 // Threading model: user code offers packets through one ProducerHandle per
 // producer goroutine — the engine's only ingress — and the lane's owning
 // mover routes them into chain entries; each stage's handler runs on its
 // own goroutine but only while holding a grant from the scheduler, which
 // serializes stage execution (the shared-CPU-core regime the paper studies)
-// while keeping handlers free to block briefly on their own I/O. The TX path is sharded (mover.go): the
-// paper's manager TX threads map to Config.Movers mover goroutines, each
-// owning a static partition of the stages' tx rings and, like them, noticing
-// a receive queue at its high watermark as they enqueue (postHigh), while
-// the backpressure policy that acts on it, supervision and the weight
-// controller run on a decoupled control goroutine at the paper's cadences
+// while keeping handlers free to block briefly on their own I/O. Hops run to
+// completion: the grant that processed a batch publishes its survivors
+// straight into the next stage's receive ring (sched.go, forward), so the
+// paper's manager TX threads map to Config.Movers mover goroutines
+// (mover.go) that keep only the chain's ingress — the lanes — and egress —
+// each owning a static partition of the stages' tx rings, which hold only
+// packets that finished their chain, and calling the sink. Whoever enqueues
+// into a receive ring notices it at its high watermark (postHigh), while the
+// backpressure policy that acts on it, supervision and the weight controller
+// run on a decoupled control goroutine at the paper's cadences
 // (Config.BackpressurePeriod 1 ms, Config.WeightPeriod 10 ms).
 //
 // Failure model: stages are supervised (see supervise.go). A handler panic
@@ -51,9 +55,10 @@
 //
 // File map, one plane per file: config.go is the Config and its validation;
 // dataplane.go the Engine, stage, registration and Run; sched.go the per-core
-// scheduler and the workers it grants; mover.go the TX shards (moveStages,
-// deliver) with lanes.go their ingress side; control.go the backpressure and
-// weight step on the control loop; metrics.go the stats and telemetry surface.
+// scheduler, the workers it grants and their hop (forward); mover.go the TX
+// shards' egress (moveStages, deliver) with lanes.go their ingress side;
+// control.go the backpressure and weight step on the control loop;
+// metrics.go the stats and telemetry surface.
 package dataplane
 
 import (
@@ -137,14 +142,15 @@ type stage struct {
 	// fn receives each dequeued chunk whole (see runBatch).
 	fn BatchHandler
 	// rx is a CAS-reserve multi-producer ring: movers (lane drains at a
-	// chain entry, stage sweeps mid-chain) enqueue concurrently without a
-	// lock; the stage's live worker is
+	// chain entry) and upstream workers (the grant's forward, mid-chain)
+	// enqueue concurrently without a lock; the stage's live worker is
 	// normally the single consumer (a detached worker incarnation may race
 	// it briefly, which the MPMC ring tolerates).
 	rx *ring.MPMC[*Packet]
-	// tx is MPMC on the producer side so a detached worker incarnation
-	// waking from a stall can never corrupt the ring against its
-	// replacement; the stage's owning mover remains the single consumer.
+	// tx holds only the packets that finished their chain here, on their
+	// way to the sink. It is MPMC on the producer side so a detached worker
+	// incarnation waking from a stall can never corrupt the ring against
+	// its replacement; the stage's owning mover remains the single consumer.
 	tx *ring.MPMC[*Packet]
 	// mov is the TX shard owning this stage's tx ring (the wake target for
 	// workers publishing into it); assigned by Run before workers spawn.
@@ -158,10 +164,11 @@ type stage struct {
 	weight atomic.Int64
 	yield  atomic.Bool
 	// hot is the enqueue-time watermark post: the rx depth (>= highWater, so
-	// never 0) a mover saw right after enqueueing here, 0 once the control
-	// goroutine has consumed it. upstream is who the posting mover tells to
-	// yield: the stages all of whose chains reach this one further down
-	// (fixed by initControl).
+	// never 0) an enqueuer — a lane-draining mover or an upstream worker —
+	// saw right after enqueueing here, 0 once the control goroutine has
+	// consumed it. upstream is who the posting enqueuer tells to yield: the
+	// stages all of whose chains reach this one further down (fixed by
+	// initControl).
 	hot      atomic.Int32
 	upstream []*stage
 
@@ -181,17 +188,17 @@ type stage struct {
 
 	// Hot counters, grouped by writer with cache-line pads between groups
 	// (the ring.Pad contract): the stage's worker hammering processed can
-	// never invalidate the line carrying the movers' arrivals, and vice
+	// never invalidate the line carrying its enqueuers' arrivals, and vice
 	// versa. Within a group the writers are the same goroutine (or rare
 	// cold paths), so sharing a line is free.
 	_          ring.Pad
 	processed  atomic.Uint64 // worker-written
 	busyNanos  atomic.Int64  // worker-written
 	nfDrops    atomic.Uint64 // worker-written: handler discards via Packet.Drop
+	wasted     atomic.Uint64 // worker-written: processed here, died at the next full ring
 	_          ring.Pad
-	arrivals   atomic.Uint64 // mover-written: offered load
-	drops      atomic.Uint64 // mover-written: full-rx-ring losses
-	wasted     atomic.Uint64 // mover-written: processed here, died downstream
+	arrivals   atomic.Uint64 // enqueuer-written: offered load
+	drops      atomic.Uint64 // enqueuer-written: full-rx-ring losses
 	faultDrops atomic.Uint64 // supervisor-written: crash/stall/drain losses
 	_          ring.Pad
 
@@ -236,8 +243,8 @@ type Engine struct {
 	chainPolicy []FailPolicy
 
 	// anyFaulty is the fast-path gate for all supervision checks: while
-	// every stage is Healthy the mover and supervisor skip per-packet and
-	// per-tick health work entirely.
+	// every stage is Healthy the workers' forward and the supervisor skip
+	// per-packet and per-tick health work entirely.
 	anyFaulty atomic.Bool
 
 	// stopped flips when Run's drain completes: later lane injects are
@@ -303,7 +310,7 @@ type Engine struct {
 	//
 	// Layout: the counters are grouped by their steady-state writers —
 	// entry-side (a mover's lane drain, enqueueRouted), delivery-side (a
-	// mover's stage sweep), and worker/control — with a cache-line pad
+	// mover's tx sweep), and worker/control — with a cache-line pad
 	// between groups so the shard draining lanes into Injected never
 	// bounces the line another shard bumps Delivered on.
 	Injected        atomic.Uint64 // lane-drain-written
@@ -311,16 +318,16 @@ type Engine struct {
 	FaultEntryDrops atomic.Uint64 // lane-drain-written
 	UnroutedDrops   atomic.Uint64 // lane-drain-written
 	LateDrops       atomic.Uint64 // cold: post-stop injects, shutdown lane sweep
-	RingDrops       atomic.Uint64 // lane-drain- and sweep-written (entry vs mid-chain)
+	RingDrops       atomic.Uint64 // lane-drain- and forward-written (entry vs mid-chain)
 	_               ring.Pad
 	Delivered       atomic.Uint64 // mover-written
-	// MidRingDrops is the mover-written subset of RingDrops: packets that
-	// were already accepted (counted Injected) and then died at a full
-	// mid-chain receive ring. Entry-ring drops are pre-acceptance and appear
-	// only in RingDrops, so the reconciliation above can be checked exactly
-	// from the global counters alone (see LedgerSnapshot) without knowing
-	// which stages are chain entries.
-	MidRingDrops atomic.Uint64 // mover-written
+	// MidRingDrops is the subset of RingDrops a worker's forward charges:
+	// packets that were already accepted (counted Injected) and then died
+	// at a full mid-chain receive ring. Entry-ring drops are pre-acceptance
+	// and appear only in RingDrops, so the reconciliation above can be
+	// checked exactly from the global counters alone (see LedgerSnapshot)
+	// without knowing which stages are chain entries.
+	MidRingDrops atomic.Uint64 // forward-written, overload only
 	// latSumNanos/latMaxNanos accumulate end-to-end sojourn time of
 	// delivered packets (mover-written; read via LatencyStats).
 	latSumNanos    atomic.Int64
@@ -376,7 +383,7 @@ type Engine struct {
 	byCore   [][]*stage
 	wDemands []core.Demand
 	wShares  []int
-	// poke wakes the control goroutine ahead of its timer: a mover that
+	// poke wakes the control goroutine ahead of its timer: an enqueuer that
 	// posted a watermark crossing (postHigh) leaves its one token here.
 	poke chan struct{}
 
@@ -670,8 +677,9 @@ func (e *Engine) Run(ctx context.Context) {
 		e.spawnWorker(s)
 	}
 	// The three decoupled planes, mirroring the paper's manager split:
-	// scheduler loops (one per core) grant stages, mover shards (the
-	// manager's TX threads) shuttle packets between rings, and the control
+	// scheduler loops (one per core) grant stages, whose workers carry
+	// their packets to the next hop; mover shards (the manager's RX and TX
+	// threads) take lanes in and exits out to the sink; and the control
 	// plane — this goroutine — runs backpressure, supervision and the
 	// weight controller at their configured cadences, off the hot path.
 	var cores sync.WaitGroup

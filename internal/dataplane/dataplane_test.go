@@ -203,8 +203,8 @@ func TestBackpressureShedsAtEntry(t *testing.T) {
 		t.Skip("wall-clock test")
 	}
 	// A fast upstream feeding a very slow downstream: the chain must
-	// throttle at entry rather than queueing without bound. The mover that
-	// fills slow's ring raises the edge; the tight control cadence only
+	// throttle at entry rather than queueing without bound. The grant whose
+	// forward fills slow's ring raises the edge; the tight control cadence only
 	// makes release prompt, so the run sees many edges.
 	e := New(Config{RingSize: 128, BatchSize: 8, WeightPeriod: 0,
 		BackpressurePeriod: 50 * time.Microsecond})
@@ -232,10 +232,9 @@ func TestBackpressureShedsAtEntry(t *testing.T) {
 	// Wasted work should be bounded: the fast stage must not have
 	// processed vastly more than the slow one. The rings between them hold
 	// two rings' worth; beyond that, what each edge can still waste is the
-	// fast stage's tx backlog when the mover lags the scheduler (it parks
-	// during slow's 1.6 ms grants and fast runs many grants before it is
-	// back) — a fraction of what slow processes between two edges, however
-	// long the flood ran. Without backpressure the fast stage processes
+	// rest of the grant whose forward crossed HIGH (the yield is honoured at
+	// the next grant) — a fraction of what slow processes between two edges,
+	// however long the flood ran. Without backpressure the fast stage processes
 	// everything offered, hundreds of times slow's count.
 	st := e.Stats()
 	if st[0].Processed > st[1].Processed+2*128+st[1].Processed/2 {
@@ -278,8 +277,9 @@ func TestThrottleClears(t *testing.T) {
 	// Every release is journaled against the stage whose machine held the
 	// claim — the bottleneck that raised it — not whichever queue happened
 	// to be deepest when the chain cleared. Which stage that is belongs to the
-	// host: detection at enqueue sees every crossing, and a mover the host
-	// held up can burst slow's whole tx backlog past HIGH into tail. So pair
+	// host: detection at enqueue sees every crossing, and tail's ring crosses
+	// too when the host holds tail's grants back while slow keeps forwarding
+	// into it. So pair
 	// the edges instead of naming a stage; the engine is still running, so a
 	// last bp_on may not have its bp_off yet.
 	edges := e.Decisions().Filter(0, func(d Decision) bool {
@@ -308,7 +308,7 @@ func TestThrottleClears(t *testing.T) {
 
 // TestInjectAccountingReconciles audits drop accounting across every path a
 // packet can take once a lane accepted it: shed at entry (throttle), dropped
-// at the full entry ring, dropped mid-chain (mover), or delivered. For a
+// at the full entry ring, dropped mid-chain (forward), or delivered. For a
 // single chain a→b the counters must reconcile exactly once the pipeline
 // quiesces:
 //

@@ -104,8 +104,8 @@ type Decision struct {
 	Stage string       `json:"stage,omitempty"`
 
 	// Backpressure cause: the observed queue depth against the watermarks —
-	// for a bp_on, the deeper of what the enqueuing mover posted and what
-	// the ring held at decision time.
+	// for a bp_on, the deeper of what the enqueuer (lane drain or worker)
+	// posted and what the ring held at decision time.
 	QueueDepth int `json:"qdepth,omitempty"`
 	HighWater  int `json:"high_water,omitempty"`
 	LowWater   int `json:"low_water,omitempty"`

@@ -9,8 +9,8 @@ package dataplane
 //
 //   - A producer registers with Engine.ProducerHandle and receives a
 //     private SPSC lane. Lane enqueues are single-producer ring writes —
-//     zero CAS, zero contention with other producers or with the movers
-//     forwarding mid-chain traffic.
+//     zero CAS, zero contention with other producers, with the movers or
+//     with the workers forwarding mid-chain traffic.
 //   - Each lane is bound (round-robin at registration) to one TX shard,
 //     which drains it during its sweeps and hands each drained batch to
 //     enqueueRouted — the only code that routes a packet, counts its
@@ -137,7 +137,11 @@ func (h *ProducerHandle) InjectBatch(ps []*Packet) int {
 }
 
 // Len reports the lane's instantaneous backlog (packets enqueued but not
-// yet drained by the mover).
+// yet drained by the mover). Zero does not mean the packets reached their
+// chain: the mover may still hold the batch it drained last. A producer
+// moving its flows to a fresh lane, which may bind to another mover, keeps
+// their order only if it first waits until the ledger shows every packet
+// it offered routed (Injected or a pre-acceptance class).
 func (h *ProducerHandle) Len() int { return h.lane.ring.Len() }
 
 // Close retires the handle: further Injects fail, and the owning mover
@@ -272,7 +276,7 @@ func (e *Engine) enqueueRouted(ps []*Packet, now int64, rc *recycler) {
 		default:
 			n := entry.rx.EnqueueBatch(run)
 			// A saturated entry closes its own gate: same check as the
-			// forward run in moveStages.
+			// grant's forward mid-chain.
 			if l := entry.rx.Len(); l >= e.highWater && entry.hot.Load() == 0 {
 				e.postHigh(entry, l)
 			}

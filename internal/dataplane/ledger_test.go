@@ -54,9 +54,9 @@ func TestLedgerCleanRunCloses(t *testing.T) {
 }
 
 // TestLedgerMidRingDrops: a slow second stage behind a tiny ring, with the
-// watermarks effectively disabled, forces mover-side mid-chain drops. They
-// must land in MidRingDrops (and RingDrops), and the identity must still
-// close exactly once the pipeline quiesces.
+// watermarks effectively disabled, forces mid-chain drops in the first
+// stage's forward. They must land in MidRingDrops (and RingDrops), and the
+// identity must still close exactly once the pipeline quiesces.
 func TestLedgerMidRingDrops(t *testing.T) {
 	e := New(Config{
 		RingSize: 64, BatchSize: 8, WeightPeriod: 0,

@@ -1,20 +1,29 @@
 package dataplane
 
-// The sharded TX path: the paper's NF Manager dedicates TX threads that
-// shuttle packets between NF rings; here Config.Movers spawns M mover
-// goroutines, each owning a static partition of the stages' tx rings
-// (stage i belongs to mover i mod M). Stage affinity keeps every tx ring
-// single-consumer while the engine runs, and preserves per-flow FIFO: a
-// flow's packets traverse a fixed stage sequence, each hop's ring is FIFO,
-// and every ring on the path has exactly one drainer.
+// The TX shards: the chain's ingress and egress. The paper's NF Manager
+// dedicates RX threads that classify arrivals into chain entries and TX
+// threads that shuttle packets between NF rings. Here Config.Movers spawns
+// M mover goroutines that keep both ends of a chain and nothing between:
+// each drains the inject lanes bound to it into chain entries (lanes.go)
+// and owns a static partition of the stages' tx rings (stage i belongs to
+// mover i mod M), which hold only packets that finished their chain, for
+// delivery to the sink. The hops between run to completion on the grant
+// that processed the packets (forward, sched.go), which is cheaper here
+// than a hand-off to another goroutine: the paper's TX threads own
+// dedicated cores, a mover shares the host's with everything else. Stage
+// affinity keeps every tx ring single-consumer while the engine runs and
+// preserves per-flow FIFO: a flow's packets traverse a fixed stage
+// sequence, each hop's ring is FIFO and is fed by one worker, and every
+// ring on the path has exactly one drainer.
 //
 // Idle movers descend an adaptive spin → yield → park ladder so unused
 // shards don't burn cores: a mover that sweeps dry respins a few times
 // (work usually arrives within a batch quantum), then yields the OS thread
-// via Gosched, then parks on its wake channel. Workers publishing into a
-// parked mover's tx ring send a non-blocking wake token; a bounded park
-// timeout backstops the (seqcst-ordered, therefore lost-wakeup-free)
-// signal so a missed edge costs bounded latency, never liveness.
+// via Gosched, then parks on its wake channel. Producers and workers
+// publishing into a parked mover's lanes or tx rings send a non-blocking
+// wake token; a bounded park timeout backstops the (seqcst-ordered,
+// therefore lost-wakeup-free) signal so a missed edge costs bounded
+// latency, never liveness.
 //
 // Everything a mover touches per sweep is shard-local — scratch buffer,
 // latency run-length state, counter accumulators flushed once per drained
@@ -48,8 +57,8 @@ const (
 	moverParked
 )
 
-// mover is one TX shard: a goroutine draining its partition of stage tx
-// rings (and its bound inject lanes) toward next hops or the sink.
+// mover is one TX shard: a goroutine draining its bound inject lanes into
+// chain entries and its partition of stage tx rings into the sink.
 type mover struct {
 	id     int
 	stages []*stage  // static partition, fixed before Run spawns workers
@@ -82,13 +91,14 @@ type mover struct {
 	// mover's own accumulators below.
 	_     ring.Pad
 	state atomic.Int32
-	wakes atomic.Uint64 // worker-written: wake tokens delivered
-	// wakeCh carries at most one pending wake token; workers publishing
-	// into a parked mover's tx ring send into it without blocking.
+	wakes atomic.Uint64 // producer- and worker-written: wake tokens delivered
+	// wakeCh carries at most one pending wake token; producers and workers
+	// publishing into a parked mover's lanes or tx rings send into it
+	// without blocking.
 	wakeCh chan struct{}
 
 	// Mover-written telemetry: sweeps counts drain passes over the
-	// partition, moved the packets those sweeps drained from tx rings,
+	// partition, moved the packets those sweeps delivered from tx rings,
 	// laneMoved the packets drained from inject lanes, and parks the
 	// descents into a blocking wait.
 	_         ring.Pad
@@ -108,9 +118,9 @@ type MoverStats struct {
 	// Batch is the shard's current adaptive sweep batch (between 32 and
 	// max(256, Config.BatchSize)).
 	Batch int
-	// Sweeps counts drain passes; Moved counts packets drained from tx
-	// rings across all sweeps (Moved/Sweeps is the drain efficiency);
-	// LaneMoved counts packets drained from inject lanes.
+	// Sweeps counts drain passes; Moved counts packets delivered from tx
+	// rings — chain exits — across all sweeps (Moved/Sweeps is the drain
+	// efficiency); LaneMoved counts packets drained from inject lanes.
 	Sweeps    uint64
 	Moved     uint64
 	LaneMoved uint64
@@ -210,11 +220,12 @@ func (m *mover) adaptBatch(drained, min, max int) {
 	}
 }
 
-// runMover is one TX shard's loop: drain the bound inject lanes, sweep the
-// stage partition, adapt the sweep batch to the observed drain, and when a
-// sweep comes up dry descend the spin → yield → park ladder. Exits when Run
-// closes moverStop (movers keep draining through the cancel-to-join window
-// so the graceful drain starts from near-empty tx rings).
+// runMover is one TX shard's loop: drain the bound inject lanes, deliver
+// from the stage partition's tx rings, adapt the sweep batch to the
+// observed drain, and when a sweep comes up dry descend the spin → yield →
+// park ladder. Exits when Run closes moverStop (movers keep draining
+// through the cancel-to-join window so the graceful drain starts from
+// near-empty tx rings).
 func (e *Engine) runMover(m *mover) {
 	defer e.moverWg.Done()
 	timer := newGrantTimer()
@@ -226,9 +237,7 @@ func (e *Engine) runMover(m *mover) {
 			return
 		default:
 		}
-		// Lanes first: lane packets feed entry rings, so the stage sweep
-		// that follows can already forward what the lanes just delivered.
-		// (drainLanes accounts laneMoved itself.)
+		// Lanes first, then exits (drainLanes accounts laneMoved itself).
 		n := e.drainLanes(m)
 		sm := e.moveStages(m.stages, m.buf[:m.batch], m.rc)
 		n += sm
@@ -285,23 +294,20 @@ func (e *Engine) runMover(m *mover) {
 	}
 }
 
-// moveAll serially drains every stage's tx ring — the shutdown drain's
+// moveAll serially delivers every stage's tx ring — the shutdown drain's
 // single-threaded mover, run only after the TX shards have exited.
 func (e *Engine) moveAll() { e.moveStages(e.stages, e.drainBuf, e.drainRC) }
 
-// moveStages drains each given stage's tx ring toward the next hop or the
-// sink (the paper's TX-thread role), in batches: runs of packets bound for
-// the same destination ring are forwarded with one
-// reservation (a destination then found at its high watermark is posted to
-// the control plane, see postHigh), and all engine counters are flushed once
-// per drained batch
-// (add-N, not N adds). Every piece of scratch state — the drain buffer, the
-// latency run-length encoder, the counter accumulators — is local to the
-// call, so concurrent movers over disjoint partitions share nothing but
-// the rings and the final atomic adds. Packets dropped in flight are
-// recycled through rc — buffered locally and returned to the shared
-// freelist with one batch reservation per sweep instead of one CAS each.
-// Reports how many packets it moved.
+// moveStages drains each given stage's tx ring — which holds only packets
+// that finished their chain, the workers having forwarded every other
+// survivor themselves (see forward) — and delivers each drained batch: span
+// completion, the end-to-end latency account, then the sink. Counters are
+// flushed once per call (add-N, not N adds), and every piece of scratch
+// state — the drain buffer, the latency run-length encoder, the
+// accumulators — is local to the call, so concurrent movers over disjoint
+// partitions share nothing but the rings and the final atomic adds.
+// Without a sink the descriptors are recycled through rc, one freelist
+// reservation per sweep. Reports how many packets it delivered.
 func (e *Engine) moveStages(stages []*stage, buf []*Packet, rc *recycler) int {
 	// The clock is read lazily, once per sweep that actually drains
 	// packets: idle movers sweep dry partitions thousands of times per
@@ -309,14 +315,11 @@ func (e *Engine) moveStages(stages []*stage, buf []*Packet, rc *recycler) int {
 	// largest avoidable cost on the serial path.
 	var now int64
 	moved := 0
-	var delivered, ringDrops uint64
 	var latSum, latMax int64
 	// Coarse-clock latencies arrive in runs of identical values; batch them
 	// into the histogram with run-length encoding.
 	var histVal, histN uint64
-	var sinkFrom int
 	for _, s := range stages {
-		var wastedHere uint64
 		for {
 			k := s.tx.DequeueBatch(buf)
 			if k == 0 {
@@ -327,97 +330,34 @@ func (e *Engine) moveStages(stages []*stage, buf []*Packet, rc *recycler) int {
 				e.coarseNanos.Store(now)
 			}
 			moved += k
-			if e.anyFaulty.Load() {
-				// Fail-open chains skip Failed hops; resolving every
-				// packet's effective hop up front keeps the run-forwarding
-				// loop below oblivious to faults.
-				e.bypassFailedHops(buf[:k])
-			}
 			if e.rec != nil {
 				// Flight recorder: stamp sampled packets' move times with a
 				// fresh clock read (the lazy `now` above can lag a worker's
-				// exit stamp and break hop monotonicity) and complete spans
-				// whose packet is about to be delivered below.
+				// exit stamp and break hop monotonicity) and complete their
+				// spans.
 				e.stampSpans(buf[:k])
 			}
-			sinkFrom = 0
-			for i := 0; i < k; {
-				pkt := buf[i]
-				chain := e.chains[pkt.ChainID]
-				if pkt.Hop >= len(chain) {
-					// Delivery: leave the packet in buf; the contiguous
-					// delivered run is handed over below.
-					lat := now - pkt.enqueuedNanos
-					if lat < 0 {
-						lat = 0
+			for _, pkt := range buf[:k] {
+				lat := max(now-pkt.enqueuedNanos, 0)
+				latSum += lat
+				latMax = max(latMax, lat)
+				if uint64(lat) == histVal {
+					histN++
+				} else {
+					if histN > 0 && e.latHist != nil {
+						e.latHist.ObserveN(histVal, histN)
 					}
-					delivered++
-					latSum += lat
-					if lat > latMax {
-						latMax = lat
-					}
-					if uint64(lat) == histVal {
-						histN++
-					} else {
-						if histN > 0 && e.latHist != nil {
-							e.latHist.ObserveN(histVal, histN)
-						}
-						histVal, histN = uint64(lat), 1
-					}
-					i++
-					continue
+					histVal, histN = uint64(lat), 1
 				}
-				// Forward: extend the run while packets share the next-hop
-				// ring, then publish the run with one reservation.
-				if i > sinkFrom {
-					e.deliver(buf[sinkFrom:i], rc)
-				}
-				dstID := chain[pkt.Hop]
-				dst := e.stages[dstID]
-				j := i + 1
-				for j < k {
-					q := buf[j]
-					qc := e.chains[q.ChainID]
-					if q.Hop >= len(qc) || qc[q.Hop] != dstID {
-						break
-					}
-					j++
-				}
-				run := buf[i:j]
-				dst.arrivals.Add(uint64(len(run)))
-				n := dst.rx.EnqueueBatch(run)
-				// Watermark detection is the enqueuer's: one compare per
-				// run, the rest out of line and only on a crossing.
-				if l := dst.rx.Len(); l >= e.highWater && dst.hot.Load() == 0 {
-					e.postHigh(dst, l)
-				}
-				if n < len(run) {
-					// Work already invested in these packets is wasted; the
-					// drop itself happens at dst's full receive ring.
-					d := uint64(len(run) - n)
-					ringDrops += d
-					dst.drops.Add(d)
-					wastedHere += d
-					for _, q := range run[n:] {
-						rc.put(q)
-					}
-				}
-				i = j
-				sinkFrom = j
 			}
-			if k > sinkFrom {
-				e.deliver(buf[sinkFrom:k], rc)
-			}
-		}
-		if wastedHere > 0 {
-			s.wasted.Add(wastedHere)
+			e.deliver(buf[:k], rc)
 		}
 	}
 	if histN > 0 && e.latHist != nil {
 		e.latHist.ObserveN(histVal, histN)
 	}
-	if delivered > 0 {
-		e.Delivered.Add(delivered)
+	if moved > 0 {
+		e.Delivered.Add(uint64(moved))
 		e.latSumNanos.Add(latSum)
 		for {
 			cur := e.latMaxNanos.Load()
@@ -426,16 +366,12 @@ func (e *Engine) moveStages(stages []*stage, buf []*Packet, rc *recycler) int {
 			}
 		}
 	}
-	if ringDrops > 0 {
-		e.RingDrops.Add(ringDrops)
-		e.MidRingDrops.Add(ringDrops)
-	}
 	rc.flush()
 	return moved
 }
 
-// deliver hands a contiguous all-delivered run of a mover's drain buffer to
-// the sink; with no sink set the engine retires the descriptors itself.
+// deliver hands a drained batch to the sink; with no sink set the engine
+// retires the descriptors itself.
 func (e *Engine) deliver(run []*Packet, rc *recycler) {
 	if e.sink != nil {
 		e.sink(run)

@@ -87,18 +87,23 @@ func TestMoverParksWhenIdle(t *testing.T) {
 	if got.Load() < 32 {
 		t.Fatalf("only %d/32 delivered after movers parked", got.Load())
 	}
-	var sweeps, moved uint64
-	for _, m := range e.MoverStats() {
-		sweeps += m.Sweeps
-		moved += m.Moved
+	// Movers carry each packet exactly twice — in from its lane, out of the
+	// last stage's tx ring — and never the a→b hop, which a's worker makes.
+	// (A shard publishes its counts after the sweep that delivered.)
+	var sweeps, moved, laneMoved uint64
+	count := func() bool {
+		sweeps, moved, laneMoved = 0, 0, 0
+		for _, m := range e.MoverStats() {
+			sweeps += m.Sweeps
+			moved += m.Moved
+			laneMoved += m.LaneMoved
+		}
+		return laneMoved == 32 && moved == 32
 	}
-	if sweeps == 0 {
-		t.Error("no sweeps recorded")
-	}
-	// Each packet crosses two tx rings (stage a's and stage b's), so the
-	// movers drained at least 2×32 packets.
-	if moved < 64 {
-		t.Errorf("moved = %d, want >= 64", moved)
+	waitFor(t, 5*time.Second, "lane and tx counts of 32", count)
+	time.Sleep(10 * time.Millisecond)
+	if !count() || sweeps == 0 {
+		t.Errorf("lane moved %d, tx moved %d over %d sweeps, want 32 each", laneMoved, moved, sweeps)
 	}
 	cancel()
 	<-done
@@ -180,14 +185,28 @@ func TestConservationMovers(t *testing.T) {
 			injected, accounted, e.Delivered.Load(), midDrops, e.NFDrops.Load(),
 			e.FaultDrops.Load(), e.ShutdownDrops.Load())
 	}
-	// The sharded path actually ran: both movers swept and moved packets.
+	if r := e.LedgerSnapshot().Residual(); r != 0 {
+		t.Fatalf("ledger residual %d after Run, want 0", r)
+	}
+	// The sharded path ran, each mover on what it owns: lanes in — the two
+	// producers' lanes bind one to each shard — and exits out, all through
+	// the shard owning the last stage. No mover carries a mid-chain hop.
 	ms := e.MoverStats()
 	if len(ms) != 2 {
 		t.Fatalf("MoverStats = %d shards, want 2", len(ms))
 	}
+	exitShard := back % len(ms)
 	for i, m := range ms {
-		if m.Moved == 0 {
-			t.Errorf("mover %d moved nothing (stages=%d sweeps=%d)", i, m.Stages, m.Sweeps)
+		if m.LaneMoved == 0 {
+			t.Errorf("mover %d drained no lane (lanes=%d sweeps=%d)", i, m.Lanes, m.Sweeps)
 		}
+		if i != exitShard && m.Moved != 0 {
+			t.Errorf("mover %d moved %d packets out of a mid-chain tx ring", i, m.Moved)
+		}
+	}
+	// The final drain after the movers exit delivers too, so the exit shard
+	// accounts for at most Delivered.
+	if m := ms[exitShard].Moved; m == 0 || m > e.Delivered.Load() {
+		t.Errorf("exit mover moved %d, delivered %d", m, e.Delivered.Load())
 	}
 }

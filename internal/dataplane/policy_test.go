@@ -184,7 +184,7 @@ func TestWeightsIgnoreOutlierTick(t *testing.T) {
 var fig8Stretched = [][]int{{0, 1, 2, 4}, {0, 3, 4}}
 
 // newEdgeEngine builds fig8Stretched on an engine that is never Run: the
-// test is its movers and its control loop, so nothing depends on the clock.
+// test is its enqueuers and its control loop, so nothing depends on the clock.
 func newEdgeEngine(t *testing.T) *Engine {
 	t.Helper()
 	e := New(Config{RingSize: 64, BatchSize: 8})
@@ -200,14 +200,15 @@ func newEdgeEngine(t *testing.T) *Engine {
 	return e
 }
 
-// forward plays stage from's worker and mover: n packets of the chain, done
-// at from, are put in its tx ring and one moveStages pass forwards them.
+// forward plays stage from's worker at the end of a grant: n packets of the
+// chain, done at from, go through the grant's forward in one call.
 func forward(e *Engine, from, chain, n int) {
 	hop := slices.Index(e.chains[chain], from) + 1
-	for i := 0; i < n; i++ {
-		e.stages[from].tx.Enqueue(&Packet{ChainID: chain, Hop: hop})
+	ps := make([]*Packet, n)
+	for i := range ps {
+		ps[i] = &Packet{ChainID: chain, Hop: hop}
 	}
-	e.moveStages(e.stages[from:from+1], e.drainBuf, e.drainRC)
+	e.forward(e.stages[from], ps)
 }
 
 func yields(e *Engine) []bool {
@@ -218,7 +219,7 @@ func yields(e *Engine) []bool {
 	return out
 }
 
-// TestEnqueueEdgeUpstreamSets holds the movers' static yield sets to the
+// TestEnqueueEdgeUpstreamSets holds the enqueuers' static yield sets to the
 // policy they run ahead of: for every stage, what postHigh raises must be
 // exactly what the shared controller selects when that stage alone throttles.
 func TestEnqueueEdgeUpstreamSets(t *testing.T) {
@@ -246,7 +247,7 @@ func TestEnqueueEdgeUpstreamSets(t *testing.T) {
 }
 
 // TestEnqueueEdgeBeforeControlStep walks one watermark edge through its three
-// owners. The mover that puts stage 2 over HIGH posts the depth, makes the
+// owners. The forward that puts stage 2 over HIGH posts the depth, makes the
 // stage that feeds only stage 2 yield and leaves the shared entry running —
 // all before any control step. The step then journals a bp_on carrying the
 // enqueue-time depth, closes the gate only once that entry exists and counts
@@ -284,14 +285,14 @@ func TestEnqueueEdgeBeforeControlStep(t *testing.T) {
 		t.Fatalf("yield flags before any control step %v, want %v", got, want)
 	}
 	if len(e.poke) != 1 {
-		t.Fatal("mover did not poke the control loop")
+		t.Fatal("forward did not poke the control loop")
 	}
 	if e.Throttled(0) || e.Decisions().Total() != 0 {
-		t.Fatal("mover wrote the gate or the journal")
+		t.Fatal("forward wrote the gate or the journal")
 	}
 
 	// The worker takes a batch before the control goroutine gets to run: the
-	// edge must still carry what the mover saw.
+	// edge must still carry what the forward saw.
 	for i := 0; i < 8; i++ {
 		bottleneck.rx.Dequeue()
 	}
@@ -325,9 +326,9 @@ func TestEnqueueEdgeBeforeControlStep(t *testing.T) {
 }
 
 // TestEnqueueEdgePostSurvivesStep is the lost-update race, interleaved by
-// hand: a mover posts stage 2's crossing while the control goroutine is inside
+// hand: a forward posts stage 2's crossing while the control goroutine is inside
 // a step that has already read stage 2. That step's yield stores undo the
-// mover's early yield, but the post and its poke stay pending, so the next
+// forward's early yield, but the post and its poke stay pending, so the next
 // step — immediate in controlLoop — throttles the chain with the posted depth.
 func TestEnqueueEdgePostSurvivesStep(t *testing.T) {
 	e := newEdgeEngine(t)
@@ -361,13 +362,13 @@ func TestEnqueueEdgePostSurvivesStep(t *testing.T) {
 	default:
 		t.Fatal("poke lost: the next step would wait for the period")
 	}
-	// The mover's hold has moved on meanwhile; only the post remembers it.
+	// The ring has moved on meanwhile; only the post remembers it.
 	for i := 0; i < 8; i++ {
 		e.stages[2].rx.Dequeue()
 	}
 	e.updateBackpressure()
 	// Both chains shed now, so the shared entry yields as well: the
-	// controller's selection, one no mover's static set could make.
+	// controller's selection, one no enqueuer's static set could make.
 	if got, want := yields(e), []bool{true, true, false, false, false}; !e.Throttled(0) || !slices.Equal(got, want) {
 		t.Fatalf("second step: chain 0 throttled=%v, yields %v, want %v", e.Throttled(0), got, want)
 	}

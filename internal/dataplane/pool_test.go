@@ -23,8 +23,8 @@ func newArenaEngine(debug bool) (e *Engine, chain int) {
 }
 
 // recyclePaths is every way a descriptor returns to the pool: the three
-// caller-facing puts and the two engine-internal drops (direct and through
-// a mover's recycler). dropped, where set, is the counter that proves the
+// caller-facing puts and the two engine-internal drops (a lane drain's
+// recycler and a worker's forward). dropped, where set, is the counter that proves the
 // engine-internal path was the one taken.
 var recyclePaths = []struct {
 	name    string
@@ -45,8 +45,7 @@ var recyclePaths = []struct {
 		for e.stages[1].rx.Enqueue(e.newPacket()) {
 		}
 		p.ChainID, p.Hop = chain, 1
-		e.stages[0].tx.Enqueue(p)
-		e.moveAll()
+		e.forward(e.stages[0], []*Packet{p}) // stage 0's worker, done with p
 	}, func(e *Engine) uint64 { return e.MidRingDrops.Load() }},
 }
 

@@ -62,16 +62,17 @@ func (e *Engine) runGrant(s *stage, w *workerCtx, budget int) (res grantResult, 
 				return res, true
 			}
 			if e.stopped.Load() {
-				// Run already returned: the mover is gone, so delivering
-				// into tx would strand the packets uncounted.
+				// Run already returned: the final sweep is done, so
+				// publishing into any ring would strand the packets
+				// uncounted.
 				e.ShutdownDrops.Add(uint64(live))
 				e.PutPacketBatch(w.batch[:live])
-			} else {
+			} else if exits := e.forward(s, w.batch[:live]); exits > 0 {
 				// The scheduler only grants while tx has a batch of free
 				// space and the owning mover only removes, so this completes
 				// on the first pass; the loop covers the detached-incarnation
 				// race where two workers briefly share the ring.
-				rem := w.batch[:live]
+				rem := w.batch[:exits]
 				for {
 					rem = rem[s.tx.EnqueueBatch(rem):]
 					if len(rem) == 0 {
@@ -97,6 +98,71 @@ func (e *Engine) runGrant(s *stage, w *workerCtx, budget int) (res grantResult, 
 	}
 	s.busyNanos.Add(time.Since(start).Nanoseconds())
 	return res, false
+}
+
+// forward is the mid-chain hop, run by the worker whose grant processed the
+// packets: survivors whose chain continues are published straight into the
+// next stage's rx with one reservation per run of packets bound for the same
+// ring, and the packets that finished their chain are compacted to the front
+// of ps for the caller to hand to the stage's tx ring, the mover's side.
+// Like enqueueRouted at the chain entry, it counts the arrivals, notices a
+// ring it just filled past the high watermark (postHigh), and charges a full
+// ring's losses — work already invested in them — to the forwarding stage's
+// wasted count. Reports how many packets finished.
+func (e *Engine) forward(s *stage, ps []*Packet) (exits int) {
+	if e.anyFaulty.Load() {
+		// Fail-open chains skip Failed hops; resolving every packet's
+		// effective hop up front keeps the run loop oblivious to faults.
+		e.bypassFailedHops(ps)
+	}
+	var drops uint64
+	for i := 0; i < len(ps); {
+		pkt := ps[i]
+		chain := e.chains[pkt.ChainID]
+		if pkt.Hop >= len(chain) {
+			ps[exits] = pkt // exits <= i: only already-read slots are reused
+			exits++
+			i++
+			continue
+		}
+		dstID := chain[pkt.Hop]
+		j := i + 1
+		for j < len(ps) {
+			q := ps[j]
+			qc := e.chains[q.ChainID]
+			if q.Hop >= len(qc) || qc[q.Hop] != dstID {
+				break
+			}
+			j++
+		}
+		run := ps[i:j]
+		i = j
+		if e.rec != nil {
+			// The flight recorder's hand-off stamp, taken before the
+			// packets become the next worker's.
+			e.stampSpans(run)
+		}
+		dst := e.stages[dstID]
+		dst.arrivals.Add(uint64(len(run)))
+		n := dst.rx.EnqueueBatch(run)
+		// Watermark detection is the enqueuer's: one compare per run, the
+		// rest out of line and only on a crossing.
+		if l := dst.rx.Len(); l >= e.highWater && dst.hot.Load() == 0 {
+			e.postHigh(dst, l)
+		}
+		if n < len(run) {
+			d := uint64(len(run) - n)
+			drops += d
+			dst.drops.Add(d)
+			e.PutPacketBatch(run[n:])
+		}
+	}
+	if drops > 0 {
+		e.RingDrops.Add(drops)
+		e.MidRingDrops.Add(drops)
+		s.wasted.Add(drops)
+	}
+	return exits
 }
 
 // runBatch runs the stage's handler over batch[:k] in one call and compacts
@@ -191,7 +257,7 @@ func (e *Engine) scheduleCore(core int, timer *time.Timer) bool {
 			continue
 		}
 		if s.tx.Len() >= e.cfg.RingSize-1-e.cfg.BatchSize {
-			continue // local backpressure: tx nearly full
+			continue // egress backpressure: the mover lags behind chain exits
 		}
 		if s.rem != nil && !s.rem.grantable(e.cfg.BatchSize) {
 			// Remote credit exhausted (window full, link down, or send

@@ -22,7 +22,8 @@ package dataplane
 //     → Healthy).
 //   - Chains through a Failed stage follow a per-chain policy: FailClosed
 //     sheds at chain entry (reusing the backpressure gate shape, charged
-//     to FaultEntryDrops), FailOpen bypasses the dead hop in the mover.
+//     to FaultEntryDrops), FailOpen bypasses the dead hop in the upstream
+//     worker's forward.
 //
 // Goroutines cannot be killed, so a truly wedged worker leaks until it
 // wakes; the circuit breaker bounds the leak, and every structure the old
@@ -429,7 +430,8 @@ func (e *Engine) supervise(now int64) {
 }
 
 // bypassFailedHops advances each packet's hop past Failed stages on
-// fail-open chains, so the mover forwards (or delivers) around dead hops.
+// fail-open chains, so the worker's forward publishes around dead hops (or
+// hands the packet to tx as finished).
 func (e *Engine) bypassFailedHops(ps []*Packet) {
 	for _, pkt := range ps {
 		if e.chainPolicy[pkt.ChainID] != FailOpen {
@@ -487,8 +489,8 @@ func (e *Engine) idleLanes() bool {
 // join, final sweep. After it returns, every accepted packet is delivered
 // or charged to a drop class — the reconciliation invariant holds for the
 // whole run, not just steady state (the one caveat is a worker preempted
-// between winning its inflight claim and publishing to tx for longer than
-// the exit wait; it self-charges ShutdownDrops on wake).
+// between its stop-gate check and publishing to the next rx or tx for longer
+// than the exit wait).
 func (e *Engine) shutdown(timer *time.Timer) {
 	if e.cfg.DrainTimeout >= 0 {
 		deadline := time.Now().Add(e.cfg.DrainTimeout)

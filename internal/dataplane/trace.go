@@ -3,13 +3,14 @@ package dataplane
 // The flight recorder's packet-span half: a power-of-two 1-in-N sampler
 // stamps selected packets at inject and records per-hop wall-clock
 // timestamps — stage enter (worker dequeued it), stage exit (handler
-// returned), mover move (drained from the tx ring) — plus inject and
-// delivery, into pooled fixed-size Span records.
+// returned), move (handed on: published into the next stage's rx by the
+// worker, or drained from the last stage's tx ring by a mover) — plus
+// inject and delivery, into pooled fixed-size Span records.
 //
 // Cost model: the unsampled path stays zero-allocation and zero-atomic —
 // when the recorder is disabled (Config.TraceSampleShift == 0) the only
 // additions to the hot path are a nil pointer check per batch (lane drain,
-// stage sweep) and a nil `span` field check per packet in the worker, all
+// forward run, tx sweep) and a nil `span` field check per packet in the worker, all
 // perfectly predicted; the allocation gate (TestSteadyStateZeroAllocs)
 // holds. With sampling enabled, the sampler pays one atomic add per
 // drained lane batch and sampled packets pay a handful of time.Now calls;
@@ -39,13 +40,16 @@ const MaxSpanHops = 16
 // HopStamp is one stage visit of a sampled packet, in wall-clock unix
 // nanoseconds. RingWait for hop h is EnterNanos - (previous hop's
 // MovedNanos, or the span's InjectNanos for hop 0); service time is
-// ExitNanos - EnterNanos; tx dwell is MovedNanos - ExitNanos.
+// ExitNanos - EnterNanos; hand-off is MovedNanos - ExitNanos (at the last
+// hop, the tx dwell before a mover picked the packet up).
 type HopStamp struct {
 	// Stage is the stage id (index into Engine.Stats).
 	Stage int32
 	// EnterNanos is when the stage's worker picked the packet up (handler
 	// about to run); ExitNanos when the handler returned; MovedNanos when
-	// a mover drained it from the stage's tx ring.
+	// it was handed on: published into the next stage's rx by the worker
+	// that processed it, or, at the chain's last hop, drained from the
+	// stage's tx ring by a mover.
 	EnterNanos int64
 	ExitNanos  int64
 	MovedNanos int64
@@ -219,11 +223,12 @@ func (e *Engine) abortSpan(p *Packet) {
 	e.rec.free.Enqueue(sp)
 }
 
-// stampSpans is the mover-side pass over a drained batch, gated on the
-// recorder being enabled: stamp the move time of each sampled packet's last
-// committed hop, and complete spans whose packet reached the end of its
-// chain (the main forwarding loop below will deliver it). The clock is read
-// once per batch that actually carries a span.
+// stampSpans is the hand-off pass over a batch leaving its stage — a run the
+// worker is about to forward, or a tx batch a mover is about to deliver —
+// gated on the recorder being enabled: stamp the move time of each sampled
+// packet's last committed hop, and complete spans whose packet reached the
+// end of its chain. The clock is read once per batch that actually carries
+// a span.
 func (e *Engine) stampSpans(ps []*Packet) {
 	var tnow int64
 	for _, p := range ps {
@@ -235,7 +240,7 @@ func (e *Engine) stampSpans(ps []*Packet) {
 			tnow = time.Now().UnixNano()
 		}
 		// Stamp the last committed hop's move time exactly once (a chain
-		// longer than MaxSpanHops keeps transiting movers after the span
+		// longer than MaxSpanHops keeps being handed on after the span
 		// stopped committing hops — don't overwrite the last record).
 		if sp.N > 0 && sp.Hops[sp.N-1].MovedNanos == 0 {
 			sp.Hops[sp.N-1].MovedNanos = tnow

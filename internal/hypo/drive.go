@@ -69,9 +69,22 @@ func buildChains(e *dataplane.Engine, n, hops int, handler func(chain, hop int) 
 // counts everything any producer of this engine got accepted.
 func outstanding(e *dataplane.Engine, offered int) int {
 	l := e.LedgerSnapshot()
-	entry := l.EntryDrops + l.FaultEntryDrops + (l.RingDrops - l.MidRingDrops) +
+	return offered - int(preAccepted(l)+l.Accounted())
+}
+
+// unrouted is how many of the offered packets have not reached their chain
+// entry yet — still in a lane or in a mover's hands — as opposed to
+// outstanding, which also counts the ones in flight through the chains.
+func unrouted(e *dataplane.Engine, offered int) int {
+	l := e.LedgerSnapshot()
+	return offered - int(preAccepted(l)+l.Injected)
+}
+
+// preAccepted sums the classes a lane-accepted packet lands in when its
+// chain entry does not take it.
+func preAccepted(l dataplane.Ledger) uint64 {
+	return l.EntryDrops + l.FaultEntryDrops + (l.RingDrops - l.MidRingDrops) +
 		l.UnroutedDrops + l.LateDrops
-	return offered - int(entry+l.Accounted())
 }
 
 // offerPaced waits until fewer than inflight of the sent packets are

@@ -8,12 +8,12 @@ package hypo
 //
 // One deliberate carve-out, discovered by this experiment: the bypass
 // BOUNDARY can scramble the faulted chain. When the mid hop dies, packets
-// it already processed are still queued in its tx ring while newer packets
-// start bypassing straight to the next hop's rx — whichever ring drains
-// first wins, so flows on the bypassed chain may see a transient reorder
-// bounded by the in-flight population at the fault instant. Flows on other
-// chains must never invert, and the scramble must stay within that bound;
-// both are checked.
+// already queued in its rx ring wait out the restart backoff while newer
+// packets bypass it straight into the next hop's rx; the restarted stage
+// then forwards the older ones behind them, so flows on the bypassed chain
+// may see a transient reorder bounded by the in-flight population at the
+// fault instant. Flows on other chains must never invert, and the scramble
+// must stay within that bound; both are checked.
 
 import (
 	"encoding/binary"
@@ -149,10 +149,13 @@ func runFIFO(ctx RunCtx) (Outcome, error) {
 	for sent < total {
 		if churnEvery > 0 && sent >= nextChurn {
 			nextChurn += churnEvery
-			// Lane churn: drain the old handle fully before retiring it —
-			// the per-flow order contract spans lanes only through empty
-			// handoffs — then continue on a fresh lane.
-			for handle.Len() > 0 && !time.Now().After(deadline) {
+			// Lane churn: retire the old handle only once everything it
+			// took has been routed into the chain — the per-flow order
+			// contract spans lanes only through drained handoffs — then
+			// continue on a fresh lane. An empty lane is not enough: its
+			// mover may still hold the last batch it dequeued, and the
+			// fresh lane's mover could route newer packets past it.
+			for unrouted(e, sent) > 0 && !time.Now().After(deadline) {
 				runtime.Gosched()
 			}
 			handle.Close()
@@ -169,13 +172,16 @@ func runFIFO(ctx RunCtx) (Outcome, error) {
 		// dead hop, so a restarted incarnation can come back to an empty
 		// rx and never earn the grant that trips the breaker. Keep the
 		// load (and the per-flow sequence numbers) flowing until the
-		// circuit actually opens, bounded by one more run's worth.
+		// circuit actually opens: paced on the journal entry, bounded by
+		// time, never by a packet count (faster hops get more of it around
+		// the dead one per backoff window).
 		opened := func() bool {
 			return journalCount(e, func(d dataplane.Decision) bool {
 				return d.Kind == dataplane.DecisionCircuitOpen
 			}) > 0
 		}
-		for extra := 0; extra < total; extra++ {
+		openBy := time.Now().Add(30 * time.Second)
+		for extra := 0; time.Now().Before(openBy); extra++ {
 			if (extra%64 == 0 && opened()) || !offerNext() {
 				break
 			}
