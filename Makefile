@@ -23,7 +23,7 @@ race:
 # and on real NFs mutating arena frames in place.
 bench-alloc-gate:
 	$(GO) test -run=TestSteadyStateZeroAllocs -count=1 -v ./internal/dataplane/
-	$(GO) test -run=TestRealNFChainZeroAllocs -count=1 -v ./internal/nfs/
+	$(GO) test -run='TestRealNFChainZeroAllocs|TestNFChainChurnZeroAllocs' -count=1 -v ./internal/nfs/
 
 # CPU + mutex-contention profiles of the closed-loop 3-stage chain at
 # Movers=4, for chasing hot-path and lock regressions. Inspect with

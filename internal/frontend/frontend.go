@@ -22,6 +22,8 @@
 package frontend
 
 import (
+	"math/bits"
+
 	"nfvnice/internal/flowtable"
 	"nfvnice/internal/packet"
 	"nfvnice/internal/proto"
@@ -46,9 +48,14 @@ func NewDirector(nChains, capacity int) *Director {
 	return &Director{Table: flowtable.NewSharded(64, capacity), Chains: nChains}
 }
 
-// spread is the miss-path chain assignment: a hash spread over the chains.
+// spread is the miss-path chain assignment: a hash spread over the chains,
+// by multiply-high rather than a division. It packs k field by field
+// instead of calling k.Hash(): copying a FlowKey argument whole, just after
+// it was spilled one field at a time, stalls store-to-load forwarding.
 func (d *Director) spread(k packet.FlowKey) int {
-	return int(k.Hash() % uint64(d.Chains))
+	h := packet.PackKey(k.SrcIP, k.DstIP, k.SrcPort, k.DstPort, uint8(k.Proto)).Hash()
+	i, _ := bits.Mul64(h, uint64(d.Chains))
+	return int(i)
 }
 
 // ChainOf resolves (installing if absent) the chain for a flow key.
@@ -60,23 +67,12 @@ func (d *Director) ChainOf(k packet.FlowKey) int {
 // FlowKeyOf extracts the 5-tuple from a raw Ethernet frame; ok is false
 // for non-IPv4 frames.
 func FlowKeyOf(frame []byte) (packet.FlowKey, bool) {
-	f, err := proto.Decode(frame)
-	if err != nil || !f.HasIP {
+	t, err := proto.DecodeTuple(frame)
+	if err != nil || !t.HasIP() {
 		return packet.FlowKey{}, false
 	}
-	k := packet.FlowKey{
-		SrcIP: uint32(f.IP.Src),
-		DstIP: uint32(f.IP.Dst),
-	}
-	switch {
-	case f.HasUDP:
-		k.Proto = packet.UDP
-		k.SrcPort, k.DstPort = f.UDP.SrcPort, f.UDP.DstPort
-	case f.HasTCP:
-		k.Proto = packet.TCP
-		k.SrcPort, k.DstPort = f.TCP.SrcPort, f.TCP.DstPort
-	default:
-		k.Proto = packet.Proto(f.IP.Protocol)
-	}
-	return k, true
+	return packet.FlowKey{
+		SrcIP: uint32(t.Src), DstIP: uint32(t.Dst),
+		SrcPort: t.SrcPort, DstPort: t.DstPort, Proto: packet.Proto(t.Protocol),
+	}, true
 }

@@ -135,7 +135,7 @@ func TestReplaySmoke(t *testing.T) {
 	if l.Delivered == 0 {
 		t.Fatalf("nothing delivered: %+v", l)
 	}
-	if got := dir.Table.Lookups.Load(); got < uint64(stats.Offered) {
+	if got := dir.Table.Lookups(); got < uint64(stats.Offered) {
 		t.Fatalf("flow table saw %d lookups, want >= %d", got, stats.Offered)
 	}
 	if mon.Flows() != flows {
@@ -205,7 +205,7 @@ func TestMillionFlowConservation(t *testing.T) {
 	}
 	// The synthetic generator classifies once per flow (at arm time); the
 	// replay classifies every record it offers.
-	if got, want := dir.Table.Lookups.Load(), syns.Flows+rps.Offered; got < want {
+	if got, want := dir.Table.Lookups(), syns.Flows+rps.Offered; got < want {
 		t.Fatalf("flow table lookups %d < %d", got, want)
 	}
 	// The bounded table must have survived the sweep within its cap, and

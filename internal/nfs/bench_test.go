@@ -2,6 +2,8 @@ package nfs_test
 
 import (
 	"context"
+	"math"
+	"math/rand"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -200,5 +202,125 @@ func TestRealNFChainZeroAllocs(t *testing.T) {
 	if perPacket > 0.01 {
 		t.Fatalf("real-NF steady state allocates: %.4f allocs/packet (%.1f per %d-packet batch)",
 			perPacket, allocs, len(batch))
+	}
+}
+
+// Shape of the churning real-NF workload: 1 024 live flows emitted
+// round-robin, each a bounded-Pareto(1.2) number of packets in [1, 1024],
+// their 5-tuples drawn in turn from a cycle of 32 768 distinct keys.
+const (
+	churnLive    = 1024
+	churnKeys    = 32768
+	churnPayload = 64
+)
+
+// churnFrames prebuilds one 64-byte-payload UDP frame per key, sources
+// seeded at random in 10/8 toward one DNS server, as the workload draws them.
+func churnFrames(seed int64) [][]byte {
+	rng := rand.New(rand.NewSource(seed))
+	src := proto.MAC{2, 0, 0, 0, 0, 1}
+	dst := proto.MAC{2, 0, 0, 0, 0, 2}
+	payload := make([]byte, churnPayload)
+	seen := make(map[[2]uint32]bool, churnKeys)
+	frames := make([][]byte, 0, churnKeys)
+	for len(frames) < churnKeys {
+		sip, sport := 0x0a000000|uint32(rng.Intn(1<<24)), uint32(1024+rng.Intn(60000))
+		if seen[[2]uint32{sip, sport}] {
+			continue
+		}
+		seen[[2]uint32{sip, sport}] = true
+		frames = append(frames, proto.BuildUDP(src, dst, proto.IPv4Addr(sip), proto.Addr4(198, 51, 100, 7), uint16(sport), 53, payload))
+	}
+	return frames
+}
+
+// churnStream is the per-packet sequence of key indices the workload emits.
+func churnStream(seed int64, n int) []int32 {
+	rng := rand.New(rand.NewSource(seed))
+	size := func() int {
+		const a, l, h = 1.2, 1.0, 1024.0
+		x := l / math.Pow(1-rng.Float64()*(1-math.Pow(l/h, a)), 1/a)
+		return min(max(int(x), 1), 1024)
+	}
+	type slot struct{ key, remaining int }
+	slots := make([]slot, churnLive)
+	next := 0
+	for i := range slots {
+		slots[i] = slot{next % churnKeys, size()}
+		next++
+	}
+	out := make([]int32, n)
+	for i := range out {
+		sl := &slots[i%churnLive]
+		if sl.remaining == 0 {
+			*sl = slot{next % churnKeys, size()}
+			next++
+		}
+		sl.remaining--
+		out[i] = int32(sl.key)
+	}
+	return out
+}
+
+// churnChain is the workload's firewall → NAT → monitor: eight deny rules
+// no packet matches ahead of a default accept.
+func churnChain() []nfs.Processor {
+	fw := nfs.NewFirewall(nfs.Accept)
+	for i := 0; i < 8; i++ {
+		fw.AddRule(nfs.FirewallRule{
+			SrcAddr: proto.Addr4(192, 168, byte(i), 0), SrcPrefixLen: 24,
+			DstPortLo: 6000, DstPortHi: 6063, Proto: proto.IPProtoUDP, Action: nfs.Drop,
+		})
+	}
+	return []nfs.Processor{fw, nfs.NewNAT(proto.Addr4(203, 0, 113, 1), nil), nfs.NewMonitor()}
+}
+
+// runChurn pushes the stream's packets from i on through the chain, each
+// on a fresh copy of its flow's frame (the NAT rewrites in place).
+func runChurn(procs []nfs.Processor, frames [][]byte, stream []int32, scratch []byte, i, n int) {
+	for end := i + n; i < end; i++ {
+		f := frames[stream[i%len(stream)]]
+		copy(scratch, f)
+		for _, p := range procs {
+			if p.Process(scratch[:len(f)]) == nfs.Drop {
+				panic("churn chain dropped a packet")
+			}
+		}
+	}
+}
+
+// BenchmarkNFChainChurn times firewall → NAT → monitor per packet on the
+// churning workload's flow mix, where the NF maps see tens of thousands of
+// keys: the per-flow state cost that 64 resident flows cannot show.
+func BenchmarkNFChainChurn(b *testing.B) {
+	frames, stream := churnFrames(1), churnStream(1, 1<<20)
+	procs := churnChain()
+	scratch := make([]byte, len(frames[0]))
+	runChurn(procs, frames, stream, scratch, 0, len(stream))
+	b.ReportAllocs()
+	b.ResetTimer()
+	runChurn(procs, frames, stream, scratch, 0, b.N)
+}
+
+// TestNFChainChurnZeroAllocs is the allocation gate for flow state under
+// churn: once every key has been seen, NAT bindings and monitor counters
+// are updated in place, so no packet allocates.
+func TestNFChainChurnZeroAllocs(t *testing.T) {
+	frames, stream := churnFrames(1), churnStream(1, 1<<16)
+	procs := churnChain()
+	scratch := make([]byte, len(frames[0]))
+	warm := make([]int32, churnKeys)
+	for i := range warm {
+		warm[i] = int32(i)
+	}
+	runChurn(procs, frames, warm, scratch, 0, len(warm))
+	const perRun = 4096
+	i := 0
+	allocs := testing.AllocsPerRun(len(stream)/perRun, func() {
+		runChurn(procs, frames, stream, scratch, i, perRun)
+		i += perRun
+	})
+	if allocs != 0 {
+		t.Fatalf("warm churn allocates: %.1f allocs per %d packets", allocs, perRun)
 	}
 }

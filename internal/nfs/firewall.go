@@ -41,34 +41,25 @@ func portMatch(p, lo, hi uint16) bool {
 	return p >= lo && p <= hi
 }
 
-// Matches reports whether the rule covers the decoded frame.
-func (r *FirewallRule) Matches(f *proto.Frame) bool {
-	if !f.HasIP {
+// Matches reports whether the rule covers the frame's 5-tuple.
+func (r *FirewallRule) Matches(t *proto.Tuple) bool {
+	if !t.HasIP() {
 		return false
 	}
-	if r.Proto != 0 && r.Proto != f.IP.Protocol {
+	if r.Proto != 0 && r.Proto != t.Protocol {
 		return false
 	}
-	if !prefixMatch(f.IP.Src, r.SrcAddr, r.SrcPrefixLen) {
+	if !prefixMatch(t.Src, r.SrcAddr, r.SrcPrefixLen) {
 		return false
 	}
-	if !prefixMatch(f.IP.Dst, r.DstAddr, r.DstPrefixLen) {
+	if !prefixMatch(t.Dst, r.DstAddr, r.DstPrefixLen) {
 		return false
 	}
-	var sp, dp uint16
-	switch {
-	case f.HasUDP:
-		sp, dp = f.UDP.SrcPort, f.UDP.DstPort
-	case f.HasTCP:
-		sp, dp = f.TCP.SrcPort, f.TCP.DstPort
-	default:
+	if !t.HasPorts() {
 		// Port constraints cannot match a portless protocol.
-		if r.SrcPortLo != 0 || r.SrcPortHi != 0 || r.DstPortLo != 0 || r.DstPortHi != 0 {
-			return false
-		}
-		return true
+		return r.SrcPortLo == 0 && r.SrcPortHi == 0 && r.DstPortLo == 0 && r.DstPortHi == 0
 	}
-	return portMatch(sp, r.SrcPortLo, r.SrcPortHi) && portMatch(dp, r.DstPortLo, r.DstPortHi)
+	return portMatch(t.SrcPort, r.SrcPortLo, r.SrcPortHi) && portMatch(t.DstPort, r.DstPortLo, r.DstPortHi)
 }
 
 // Firewall is a stateless ordered-rule packet filter (first match wins).
@@ -97,12 +88,12 @@ func (fw *Firewall) Name() string { return "firewall" }
 
 // Process implements Processor.
 func (fw *Firewall) Process(frame []byte) Verdict {
-	f, err := proto.Decode(frame)
+	t, err := proto.DecodeTuple(frame)
 	if err != nil {
 		fw.Dropped++
 		return Drop
 	}
-	if !f.HasIP {
+	if !t.HasIP() {
 		// L2-only traffic passes (the firewall filters IP).
 		fw.NonIP++
 		fw.Accepted++
@@ -110,7 +101,7 @@ func (fw *Firewall) Process(frame []byte) Verdict {
 	}
 	v := fw.DefaultAction
 	for i := range fw.rules {
-		if fw.rules[i].Matches(&f) {
+		if fw.rules[i].Matches(&t) {
 			v = fw.rules[i].Action
 			break
 		}

@@ -3,6 +3,7 @@ package nfs
 import (
 	"encoding/binary"
 
+	"nfvnice/internal/packet"
 	"nfvnice/internal/proto"
 )
 
@@ -22,7 +23,7 @@ type LoadBalancer struct {
 	PassedThrough uint64
 	PerBackend    []uint64
 
-	flows map[natKey]int
+	flows map[packet.Key]int
 }
 
 // NewLoadBalancer returns a balancer for vip over backends.
@@ -31,7 +32,7 @@ func NewLoadBalancer(vip proto.IPv4Addr, backends []proto.IPv4Addr) *LoadBalance
 		VIP:        vip,
 		backends:   append([]proto.IPv4Addr(nil), backends...),
 		PerBackend: make([]uint64, len(backends)),
-		flows:      make(map[natKey]int),
+		flows:      make(map[packet.Key]int),
 	}
 }
 
@@ -39,10 +40,10 @@ func NewLoadBalancer(vip proto.IPv4Addr, backends []proto.IPv4Addr) *LoadBalance
 func (lb *LoadBalancer) Name() string { return "loadbalancer" }
 
 // rendezvous picks the backend with the highest hash(flow, backend) score.
-func (lb *LoadBalancer) rendezvous(k natKey) int {
+func (lb *LoadBalancer) rendezvous(t *proto.Tuple) int {
 	best, bestScore := 0, uint64(0)
 	for i, b := range lb.backends {
-		h := fnvMix(uint64(k.src)<<32|uint64(k.srcPort)<<16|uint64(k.proto), uint64(b))
+		h := fnvMix(uint64(t.Src)<<32|uint64(t.SrcPort)<<16|uint64(t.Protocol), uint64(b))
 		if h >= bestScore {
 			best, bestScore = i, h
 		}
@@ -69,36 +70,28 @@ func (lb *LoadBalancer) Process(frame []byte) Verdict {
 	if len(lb.backends) == 0 {
 		return Drop
 	}
-	f, err := proto.Decode(frame)
-	if err != nil || !f.HasIP || f.IP.Dst != lb.VIP || (!f.HasUDP && !f.HasTCP) {
+	t, err := proto.DecodeTuple(frame)
+	if err != nil || !t.HasIP() || t.Dst != lb.VIP || !t.HasPorts() {
 		lb.PassedThrough++
 		return Accept
 	}
-	var sp, dp uint16
-	if f.HasUDP {
-		sp, dp = f.UDP.SrcPort, f.UDP.DstPort
-	} else {
-		sp, dp = f.TCP.SrcPort, f.TCP.DstPort
-	}
-	k := natKey{src: f.IP.Src, dst: f.IP.Dst, srcPort: sp, dstPort: dp, proto: f.IP.Protocol}
+	k := keyOf(&t)
 	idx, ok := lb.flows[k]
 	if !ok {
-		idx = lb.rendezvous(k)
+		idx = lb.rendezvous(&t)
 		lb.flows[k] = idx
 		lb.PerBackend[idx]++
 	}
 	backend := lb.backends[idx]
 
-	ipb := frame[proto.EthernetHeaderLen:]
-	hlen := int(f.IP.IHL) * 4
-	l4 := ipb[hlen:]
+	ipb, l4 := frame[proto.EthernetHeaderLen:], frame[t.L4:]
 	oldAddr := binary.BigEndian.Uint32(ipb[16:20])
 	binary.BigEndian.PutUint32(ipb[16:20], uint32(backend))
 	cs := binary.BigEndian.Uint16(ipb[10:12])
 	binary.BigEndian.PutUint16(ipb[10:12], csumUpdate32(cs, oldAddr, uint32(backend)))
-	if off := transportCsumOffset(f.IP.Protocol); off >= 0 {
+	if off := transportCsumOffset(t.Protocol); off >= 0 {
 		tc := binary.BigEndian.Uint16(l4[off : off+2])
-		if f.IP.Protocol != proto.IPProtoUDP || tc != 0 {
+		if t.Protocol != proto.IPProtoUDP || tc != 0 {
 			binary.BigEndian.PutUint16(l4[off:off+2], csumUpdate32(tc, oldAddr, uint32(backend)))
 		}
 	}

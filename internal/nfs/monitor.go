@@ -3,6 +3,7 @@ package nfs
 import (
 	"sort"
 
+	"nfvnice/internal/packet"
 	"nfvnice/internal/proto"
 )
 
@@ -14,17 +15,15 @@ type FlowStat struct {
 	Packets, Bytes   uint64
 }
 
-type flowKey struct {
-	src, dst         proto.IPv4Addr
-	srcPort, dstPort uint16
-	proto            uint8
-}
+// flowCount is one flow's counters. It lives in the map value, so a packet
+// costs a lookup and a write-back: no pointer to chase, nothing to allocate.
+type flowCount struct{ packets, bytes uint64 }
 
 // Monitor is a passive per-flow packet/byte counter — the paper's "basic
 // monitor NF". Its per-packet cost is a flow-table hash update, naturally
 // cheap, matching the "Low" class.
 type Monitor struct {
-	flows map[flowKey]*FlowStat
+	flows map[packet.Key]flowCount
 
 	// NonIP counts frames the monitor could not classify.
 	NonIP uint64
@@ -32,7 +31,7 @@ type Monitor struct {
 
 // NewMonitor returns an empty monitor.
 func NewMonitor() *Monitor {
-	return &Monitor{flows: make(map[flowKey]*FlowStat)}
+	return &Monitor{flows: make(map[packet.Key]flowCount)}
 }
 
 // Name implements Processor.
@@ -40,25 +39,16 @@ func (m *Monitor) Name() string { return "monitor" }
 
 // Process implements Processor.
 func (m *Monitor) Process(frame []byte) Verdict {
-	f, err := proto.Decode(frame)
-	if err != nil || !f.HasIP {
+	t, err := proto.DecodeTuple(frame)
+	if err != nil || !t.HasIP() {
 		m.NonIP++
 		return Accept // monitors never drop
 	}
-	k := flowKey{src: f.IP.Src, dst: f.IP.Dst, proto: f.IP.Protocol}
-	switch {
-	case f.HasUDP:
-		k.srcPort, k.dstPort = f.UDP.SrcPort, f.UDP.DstPort
-	case f.HasTCP:
-		k.srcPort, k.dstPort = f.TCP.SrcPort, f.TCP.DstPort
-	}
-	st := m.flows[k]
-	if st == nil {
-		st = &FlowStat{Src: k.src, Dst: k.dst, SrcPort: k.srcPort, DstPort: k.dstPort, Proto: k.proto}
-		m.flows[k] = st
-	}
-	st.Packets++
-	st.Bytes += uint64(len(frame))
+	k := keyOf(&t)
+	c := m.flows[k]
+	c.packets++
+	c.bytes += uint64(len(frame))
+	m.flows[k] = c
 	return Accept
 }
 
@@ -69,8 +59,13 @@ func (m *Monitor) Flows() int { return len(m.flows) }
 // by tuple order).
 func (m *Monitor) Top(n int) []FlowStat {
 	out := make([]FlowStat, 0, len(m.flows))
-	for _, st := range m.flows {
-		out = append(out, *st)
+	for k, c := range m.flows {
+		fk := k.FlowKey()
+		out = append(out, FlowStat{
+			Src: proto.IPv4Addr(fk.SrcIP), Dst: proto.IPv4Addr(fk.DstIP),
+			SrcPort: fk.SrcPort, DstPort: fk.DstPort, Proto: uint8(fk.Proto),
+			Packets: c.packets, Bytes: c.bytes,
+		})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Bytes != out[j].Bytes {

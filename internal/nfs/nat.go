@@ -3,21 +3,9 @@ package nfs
 import (
 	"encoding/binary"
 
+	"nfvnice/internal/packet"
 	"nfvnice/internal/proto"
 )
-
-// natKey identifies an internal connection.
-type natKey struct {
-	src, dst         proto.IPv4Addr
-	srcPort, dstPort uint16
-	proto            uint8
-}
-
-// natBinding is one translation entry.
-type natBinding struct {
-	key     natKey
-	natPort uint16
-}
 
 // NAT is a source NAT (masquerade): outbound packets from internal
 // addresses are rewritten to carry the NAT's external address and an
@@ -31,8 +19,10 @@ type NAT struct {
 	Internal func(proto.IPv4Addr) bool
 
 	nextPort uint16
-	outbound map[natKey]uint16
-	inbound  map[uint16]natBinding
+	// outbound maps an internal connection to its allocated port; inbound
+	// maps the port back to the connection.
+	outbound map[packet.Key]uint16
+	inbound  map[uint16]packet.Key
 
 	// Translated, Untranslatable and PortExhausted count outcomes.
 	Translated     uint64
@@ -50,8 +40,8 @@ func NewNAT(external proto.IPv4Addr, internal func(proto.IPv4Addr) bool) *NAT {
 		External: external,
 		Internal: internal,
 		nextPort: 20000,
-		outbound: make(map[natKey]uint16),
-		inbound:  make(map[uint16]natBinding),
+		outbound: make(map[packet.Key]uint16),
+		inbound:  make(map[uint16]packet.Key),
 	}
 }
 
@@ -83,26 +73,17 @@ func (n *NAT) Process(frame []byte) Verdict {
 	if len(frame) < proto.EthernetHeaderLen+proto.IPv4MinHeaderLen {
 		return Drop
 	}
-	ipb := frame[proto.EthernetHeaderLen:]
-	f, err := proto.Decode(frame)
-	if err != nil || !f.HasIP || (!f.HasUDP && !f.HasTCP) {
+	t, err := proto.DecodeTuple(frame)
+	if err != nil || !t.HasIP() || !t.HasPorts() {
 		n.Untranslatable++
 		return Accept // pass non-translatable traffic untouched
 	}
-	hlen := int(f.IP.IHL) * 4
-	l4 := ipb[hlen:]
-
-	var srcPort, dstPort uint16
-	if f.HasUDP {
-		srcPort, dstPort = f.UDP.SrcPort, f.UDP.DstPort
-	} else {
-		srcPort, dstPort = f.TCP.SrcPort, f.TCP.DstPort
-	}
+	ipb, l4 := frame[proto.EthernetHeaderLen:], frame[t.L4:]
 
 	switch {
-	case n.Internal(f.IP.Src):
+	case n.Internal(t.Src):
 		// Outbound: allocate (or reuse) a port, rewrite source.
-		k := natKey{src: f.IP.Src, dst: f.IP.Dst, srcPort: srcPort, dstPort: dstPort, proto: f.IP.Protocol}
+		k := keyOf(&t)
 		port, ok := n.outbound[k]
 		if !ok {
 			port, ok = n.allocPort()
@@ -111,18 +92,19 @@ func (n *NAT) Process(frame []byte) Verdict {
 				return Drop
 			}
 			n.outbound[k] = port
-			n.inbound[port] = natBinding{key: k, natPort: port}
+			n.inbound[port] = k
 		}
-		n.rewrite(ipb, l4, f.IP.Protocol, true, n.External, port)
+		rewrite(ipb, l4, t.Protocol, srcAddrOff, srcPortOff, n.External, port)
 		n.Translated++
 		return Accept
-	case f.IP.Dst == n.External:
+	case t.Dst == n.External:
 		// Inbound: look up the binding by destination port.
-		b, ok := n.inbound[dstPort]
+		k, ok := n.inbound[t.DstPort]
 		if !ok {
 			return Drop // unsolicited
 		}
-		n.rewriteDst(ipb, l4, f.IP.Protocol, b.key.src, b.key.srcPort)
+		orig := k.FlowKey()
+		rewrite(ipb, l4, t.Protocol, dstAddrOff, dstPortOff, proto.IPv4Addr(orig.SrcIP), orig.SrcPort)
 		n.Translated++
 		return Accept
 	default:
@@ -148,42 +130,29 @@ func (n *NAT) allocPort() (uint16, bool) {
 	return 0, false
 }
 
-// rewrite replaces the source address/port in place with incremental
-// checksum updates. l4 points at the transport header.
-func (n *NAT) rewrite(ipb, l4 []byte, protocol uint8, _ bool, newAddr proto.IPv4Addr, newPort uint16) {
-	oldAddr := binary.BigEndian.Uint32(ipb[12:16])
-	binary.BigEndian.PutUint32(ipb[12:16], uint32(newAddr))
+// Offsets of an endpoint's address in the IPv4 header and of its port in
+// the transport header.
+const (
+	srcAddrOff, srcPortOff = 12, 0
+	dstAddrOff, dstPortOff = 16, 2
+)
+
+// rewrite replaces one endpoint's address and port in place, with
+// incremental checksum updates. l4 points at the transport header.
+func rewrite(ipb, l4 []byte, protocol uint8, addrOff, portOff int, newAddr proto.IPv4Addr, newPort uint16) {
+	oldAddr := binary.BigEndian.Uint32(ipb[addrOff : addrOff+4])
+	binary.BigEndian.PutUint32(ipb[addrOff:addrOff+4], uint32(newAddr))
 	// IP header checksum covers the address.
 	ipCsum := binary.BigEndian.Uint16(ipb[10:12])
 	ipCsum = csumUpdate32(ipCsum, oldAddr, uint32(newAddr))
 	binary.BigEndian.PutUint16(ipb[10:12], ipCsum)
 	// Transport checksum covers the pseudo header (address) and port.
-	oldPort := binary.BigEndian.Uint16(l4[0:2])
-	binary.BigEndian.PutUint16(l4[0:2], newPort)
+	oldPort := binary.BigEndian.Uint16(l4[portOff : portOff+2])
+	binary.BigEndian.PutUint16(l4[portOff:portOff+2], newPort)
 	csOff := transportCsumOffset(protocol)
 	if csOff >= 0 {
 		tc := binary.BigEndian.Uint16(l4[csOff : csOff+2])
 		if protocol != proto.IPProtoUDP || tc != 0 { // UDP checksum 0 = disabled
-			tc = csumUpdate32(tc, oldAddr, uint32(newAddr))
-			tc = csumUpdate16(tc, oldPort, newPort)
-			binary.BigEndian.PutUint16(l4[csOff:csOff+2], tc)
-		}
-	}
-}
-
-// rewriteDst replaces the destination address/port (inbound direction).
-func (n *NAT) rewriteDst(ipb, l4 []byte, protocol uint8, newAddr proto.IPv4Addr, newPort uint16) {
-	oldAddr := binary.BigEndian.Uint32(ipb[16:20])
-	binary.BigEndian.PutUint32(ipb[16:20], uint32(newAddr))
-	ipCsum := binary.BigEndian.Uint16(ipb[10:12])
-	ipCsum = csumUpdate32(ipCsum, oldAddr, uint32(newAddr))
-	binary.BigEndian.PutUint16(ipb[10:12], ipCsum)
-	oldPort := binary.BigEndian.Uint16(l4[2:4])
-	binary.BigEndian.PutUint16(l4[2:4], newPort)
-	csOff := transportCsumOffset(protocol)
-	if csOff >= 0 {
-		tc := binary.BigEndian.Uint16(l4[csOff : csOff+2])
-		if protocol != proto.IPProtoUDP || tc != 0 {
 			tc = csumUpdate32(tc, oldAddr, uint32(newAddr))
 			tc = csumUpdate16(tc, oldPort, newPort)
 			binary.BigEndian.PutUint16(l4[csOff:csOff+2], tc)

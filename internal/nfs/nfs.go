@@ -10,6 +10,8 @@ import (
 	"fmt"
 
 	"nfvnice/internal/dataplane"
+	"nfvnice/internal/packet"
+	"nfvnice/internal/proto"
 )
 
 // Verdict is an NF's decision about a packet.
@@ -58,4 +60,9 @@ func AdaptBatch(p Processor) dataplane.BatchHandler {
 			}
 		}
 	}
+}
+
+// keyOf packs a frame's 5-tuple into the flow key every NF map keys on.
+func keyOf(t *proto.Tuple) packet.Key {
+	return packet.PackKey(uint32(t.Src), uint32(t.Dst), t.SrcPort, t.DstPort, t.Protocol)
 }

@@ -1,6 +1,7 @@
 package nfs
 
 import (
+	"nfvnice/internal/packet"
 	"nfvnice/internal/proto"
 )
 
@@ -17,7 +18,7 @@ type RateLimiter struct {
 	PerFlow bool
 
 	now     float64 // seconds, advanced by Tick
-	buckets map[flowKey]*bucket
+	buckets map[packet.Key]*bucket
 	agg     bucket
 
 	// Conformed and Policed count outcomes.
@@ -36,7 +37,7 @@ func NewRateLimiter(rateBps, burstBytes float64, perFlow bool) *RateLimiter {
 		RateBps:    rateBps,
 		BurstBytes: burstBytes,
 		PerFlow:    perFlow,
-		buckets:    make(map[flowKey]*bucket),
+		buckets:    make(map[packet.Key]*bucket),
 	}
 	rl.agg.tokens = burstBytes
 	return rl
@@ -52,17 +53,11 @@ func (rl *RateLimiter) Tick(t float64) {
 // Name implements Processor.
 func (rl *RateLimiter) Name() string { return "ratelimiter" }
 
-func (rl *RateLimiter) bucketFor(f *proto.Frame) *bucket {
+func (rl *RateLimiter) bucketFor(t *proto.Tuple) *bucket {
 	if !rl.PerFlow {
 		return &rl.agg
 	}
-	k := flowKey{src: f.IP.Src, dst: f.IP.Dst, proto: f.IP.Protocol}
-	switch {
-	case f.HasUDP:
-		k.srcPort, k.dstPort = f.UDP.SrcPort, f.UDP.DstPort
-	case f.HasTCP:
-		k.srcPort, k.dstPort = f.TCP.SrcPort, f.TCP.DstPort
-	}
+	k := keyOf(t)
 	b := rl.buckets[k]
 	if b == nil {
 		b = &bucket{tokens: rl.BurstBytes, last: rl.now}
@@ -73,11 +68,11 @@ func (rl *RateLimiter) bucketFor(f *proto.Frame) *bucket {
 
 // Process implements Processor.
 func (rl *RateLimiter) Process(frame []byte) Verdict {
-	f, err := proto.Decode(frame)
-	if err != nil || !f.HasIP {
+	t, err := proto.DecodeTuple(frame)
+	if err != nil || !t.HasIP() {
 		return Drop
 	}
-	b := rl.bucketFor(&f)
+	b := rl.bucketFor(&t)
 	// Refill.
 	b.tokens += (rl.now - b.last) * rl.RateBps
 	b.last = rl.now

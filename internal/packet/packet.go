@@ -37,29 +37,52 @@ type FlowKey struct {
 	Proto            Proto
 }
 
-// Hash returns a 64-bit FNV-1a hash of the key, the same family of cheap
-// non-cryptographic hash DPDK flow classification uses.
-func (k FlowKey) Hash() uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	mix := func(b byte) {
-		h ^= uint64(b)
-		h *= prime
+// Key is a 5-tuple packed into two words, the one layout every flow map
+// keys on: both addresses in one word, ports and protocol in the other.
+// Go's map hashes and compares it as 16 plain bytes — no padding, no
+// generated per-field equality.
+type Key struct {
+	Addrs uint64 // SrcIP<<32 | DstIP
+	Ports uint64 // SrcPort<<24 | DstPort<<8 | Proto
+}
+
+// PackKey packs a 5-tuple.
+func PackKey(srcIP, dstIP uint32, srcPort, dstPort uint16, proto uint8) Key {
+	return Key{
+		Addrs: uint64(srcIP)<<32 | uint64(dstIP),
+		Ports: uint64(srcPort)<<24 | uint64(dstPort)<<8 | uint64(proto),
 	}
-	for i := 0; i < 4; i++ {
-		mix(byte(k.SrcIP >> (8 * i)))
-		mix(byte(k.DstIP >> (8 * i)))
+}
+
+// Key packs the 5-tuple.
+func (k FlowKey) Key() Key {
+	return PackKey(k.SrcIP, k.DstIP, k.SrcPort, k.DstPort, uint8(k.Proto))
+}
+
+// FlowKey unpacks the 5-tuple.
+func (k Key) FlowKey() FlowKey {
+	return FlowKey{
+		SrcIP: uint32(k.Addrs >> 32), DstIP: uint32(k.Addrs),
+		SrcPort: uint16(k.Ports >> 24), DstPort: uint16(k.Ports >> 8), Proto: Proto(k.Ports),
 	}
-	mix(byte(k.SrcPort))
-	mix(byte(k.SrcPort >> 8))
-	mix(byte(k.DstPort))
-	mix(byte(k.DstPort >> 8))
-	mix(byte(k.Proto))
+}
+
+// Hash mixes the two words with multiplies and xorshifts (the murmur3
+// finalizer over a multiplicative combine): a few cycles per key, with
+// every input bit reaching the high and the low output bits, so callers
+// may take a shard from the low bits and a set from the high ones.
+func (k Key) Hash() uint64 {
+	h := k.Addrs*0x9e3779b97f4a7c15 ^ k.Ports
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
 	return h
 }
+
+// Hash is the packed key's hash.
+func (k FlowKey) Hash() uint64 { return k.Key().Hash() }
 
 func (k FlowKey) String() string {
 	return fmt.Sprintf("%s %d.%d.%d.%d:%d->%d.%d.%d.%d:%d",

@@ -120,6 +120,14 @@ func TestFlowKeyHashQuick(t *testing.T) {
 	}
 }
 
+func TestKeyRoundTrip(t *testing.T) {
+	// Packing loses nothing: NAT and monitor rebuild tuples from map keys.
+	f := func(k FlowKey) bool { return k.Key().FlowKey() == k }
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestProtoString(t *testing.T) {
 	if UDP.String() != "UDP" || TCP.String() != "TCP" {
 		t.Fatal("proto names wrong")

@@ -348,6 +348,81 @@ func Decode(b []byte) (Frame, error) {
 	return f, nil
 }
 
+// Tuple is a frame's 5-tuple and where its transport header starts, read in
+// place: what flow-keyed NFs need, without Decode's copy of every header.
+type Tuple struct {
+	Src, Dst         IPv4Addr
+	SrcPort, DstPort uint16 // zero unless the frame carries UDP or TCP
+	Protocol         uint8
+	// L4 is the transport header's offset in the frame; 0 when the frame
+	// is not IPv4.
+	L4 int
+}
+
+// HasIP reports whether the frame is IPv4 (Decode's Frame.HasIP).
+func (t *Tuple) HasIP() bool { return t.L4 != 0 }
+
+// HasPorts reports whether the frame carries a UDP or TCP header (Decode's
+// HasUDP or HasTCP).
+func (t *Tuple) HasPorts() bool {
+	return t.Protocol == IPProtoUDP || t.Protocol == IPProtoTCP
+}
+
+// DecodeTuple reads the 5-tuple Decode would yield and fails on exactly the
+// frames Decode fails on, with the same error.
+func DecodeTuple(b []byte) (Tuple, error) {
+	if len(b) < EthernetHeaderLen {
+		return Tuple{}, ErrTooShort
+	}
+	if binary.BigEndian.Uint16(b[12:14]) != EtherTypeIPv4 {
+		return Tuple{}, nil
+	}
+	ip := b[EthernetHeaderLen:]
+	if len(ip) < IPv4MinHeaderLen {
+		return Tuple{}, ErrTooShort
+	}
+	if ip[0]>>4 != 4 {
+		return Tuple{}, ErrBadVersion
+	}
+	hlen := int(ip[0]&0x0f) * 4
+	if hlen < IPv4MinHeaderLen || len(ip) < hlen {
+		return Tuple{}, ErrBadIHL
+	}
+	// The transport layer ends where the IP total length says, as in
+	// DecodeIPv4.
+	end := int(binary.BigEndian.Uint16(ip[2:4]))
+	if end > len(ip) || end < hlen {
+		end = len(ip)
+	}
+	l4 := ip[hlen:end]
+	var srcPort, dstPort uint16
+	switch ip[9] {
+	case IPProtoUDP:
+		if len(l4) < UDPHeaderLen {
+			return Tuple{}, ErrTooShort
+		}
+		srcPort, dstPort = binary.BigEndian.Uint16(l4[0:2]), binary.BigEndian.Uint16(l4[2:4])
+	case IPProtoTCP:
+		if len(l4) < TCPMinHeaderLen {
+			return Tuple{}, ErrTooShort
+		}
+		if off := int(l4[12]>>4) * 4; off < TCPMinHeaderLen || off > len(l4) {
+			return Tuple{}, ErrBadIHL
+		}
+		srcPort, dstPort = binary.BigEndian.Uint16(l4[0:2]), binary.BigEndian.Uint16(l4[2:4])
+	}
+	// One literal at the return: filling a named Tuple field by field and
+	// then returning it copies the struct whole, which stalls store-to-load
+	// forwarding.
+	return Tuple{
+		Src:     IPv4Addr(binary.BigEndian.Uint32(ip[12:16])),
+		Dst:     IPv4Addr(binary.BigEndian.Uint32(ip[16:20])),
+		SrcPort: srcPort, DstPort: dstPort,
+		Protocol: ip[9],
+		L4:       EthernetHeaderLen + hlen,
+	}, nil
+}
+
 // EncodeUDP assembles a complete Ethernet+IPv4+UDP frame with correct
 // checksums in place into b — the allocation-free counterpart of BuildUDP
 // for preallocated frame arenas — and reports the frame length. b must have
