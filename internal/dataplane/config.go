@@ -53,9 +53,10 @@ type Config struct {
 	// default) leaves Frame nil and the arena unallocated.
 	FrameSize int
 
-	// GrantTimeout bounds how long the scheduler waits for a granted stage
-	// to finish its batch. A stage that overruns it is detached and marked
-	// Failed instead of wedging the core (0 takes the 100ms default;
+	// GrantTimeout bounds how long a granted stage may run its batch. The
+	// control goroutine's watchdog detaches a stage that overruns it, within
+	// one control tick, marks it Failed and gives the core a fresh loop
+	// instead of letting the handler wedge it (0 takes the 100ms default;
 	// negative disables the deadline and restores unbounded waits).
 	GrantTimeout time.Duration
 	// DrainTimeout bounds the graceful shutdown drain: after ctx cancel,

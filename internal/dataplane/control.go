@@ -13,12 +13,13 @@ import (
 // controlLoop is the decoupled control plane: the engine clock, the
 // watermark backpressure policy, stage supervision, and the rate-cost weight
 // controller (every Config.WeightPeriod, the paper's 10 ms weight push). It
-// runs on Run's own goroutine so the hot path — schedulers granting, workers
+// runs on Run's own goroutine so the hot path — core loops granting,
 // processing and forwarding, movers taking packets in and out — never
-// carries control work.
+// carries control work. It also keeps the grant deadline (watchdog), which
+// is why its tick is capped at controlTickMax.
 //
 // Detection is not here: whoever enqueues into a queue — a mover at a chain
-// entry, a worker mid-chain — notices it at its high watermark (postHigh)
+// entry, a grant mid-chain — notices it at its high watermark (postHigh)
 // and pokes this loop, which steps the policy at once.
 // Config.BackpressurePeriod is the cadence of everything a poke does not
 // announce — release at the low watermark, the remote ECN windows — and the
@@ -31,7 +32,7 @@ func (e *Engine) controlLoop(ctx context.Context) {
 	if e.cfg.WeightPeriod > 0 && e.cfg.WeightPeriod < tick {
 		tick = e.cfg.WeightPeriod
 	}
-	timer := newGrantTimer()
+	timer := newParkTimer()
 	defer timer.Stop()
 	lastBP := time.Now()
 	lastW := lastBP
@@ -57,6 +58,7 @@ func (e *Engine) controlLoop(ctx context.Context) {
 		// the histogram observes and the span sink run on this goroutine.
 		e.drainSpool()
 		e.supervise(now.UnixNano())
+		e.watchdog(now)
 		if e.cfg.WeightPeriod > 0 && now.Sub(lastW) >= e.cfg.WeightPeriod {
 			e.updateWeights(now, now.Sub(lastW))
 			lastW = now
@@ -75,8 +77,8 @@ func (e *Engine) controlLoop(ctx context.Context) {
 }
 
 // controlTickMax bounds the control loop's sleep so the coarse engine
-// clock stays fresh (and supervision reacts promptly) even when the
-// backpressure cadence is long.
+// clock stays fresh, and supervision and the grant watchdog react promptly,
+// even when the backpressure cadence is long.
 const controlTickMax = 100 * time.Microsecond
 
 // initControl fixes the topology for the control plane: the shared
@@ -203,7 +205,13 @@ func (e *Engine) updateBackpressure() {
 		}
 	}
 	for i, s := range e.stages {
-		s.yield.Store(e.bp.Yield(i))
+		if y := e.bp.Yield(i); s.yield.Load() != y {
+			s.yield.Store(y)
+			if !y {
+				// No enqueue announces a cleared yield: wake the core.
+				e.cores[s.core].maybeWake()
+			}
+		}
 	}
 }
 

@@ -22,32 +22,34 @@
 // owns a private single-producer inject lane (lanes.go), so producers never
 // contend with each other or with movers; stage receive rings are
 // rte_ring-style multi-producer rings (one CAS reservation and one publish
-// per batch) so movers and workers never take a lock;
-// workers, movers and producers move packets with bulk ring operations that
+// per batch) so movers and core loops never take a lock;
+// core loops, movers and producers move packets with bulk ring operations that
 // publish once per batch; and per-packet wall-clock reads are replaced by a
 // coarse engine clock sampled once per grant and once per moved or drained
 // batch, so end-to-end latency is accurate to within one batch quantum.
 //
 // Threading model: user code offers packets through one ProducerHandle per
 // producer goroutine — the engine's only ingress — and the lane's owning
-// mover routes them into chain entries; each stage's handler runs on its
-// own goroutine but only while holding a grant from the scheduler, which
-// serializes stage execution (the shared-CPU-core regime the paper studies)
-// while keeping handlers free to block briefly on their own I/O. Hops run to
-// completion: the grant that processed a batch publishes its survivors
-// straight into the next stage's receive ring (sched.go, forward), so the
-// paper's manager TX threads map to Config.Movers mover goroutines
-// (mover.go) that keep only the chain's ingress — the lanes — and egress —
-// each owning a static partition of the stages' tx rings, which hold only
-// packets that finished their chain, and calling the sink. Whoever enqueues
-// into a receive ring notices it at its high watermark (postHigh), while the
-// backpressure policy that acts on it, supervision and the weight controller
-// run on a decoupled control goroutine at the paper's cadences
-// (Config.BackpressurePeriod 1 ms, Config.WeightPeriod 10 ms).
+// mover routes them into chain entries. Each core is one goroutine, the
+// core loop (sched.go), that picks its stage with the smallest WFQ pass and
+// runs the grant itself, handler included, so stage execution on a core is
+// serialized (the shared-CPU-core regime the paper studies) with no
+// goroutine hand-off per grant; an idle core loop parks until an enqueuer
+// into one of its stages' rings wakes it, libnf's semaphore wait. Hops run
+// to completion: the grant that processed a batch publishes its survivors
+// straight into the next stage's receive ring (forward), so the paper's
+// manager TX threads map to Config.Movers mover goroutines (mover.go) that
+// keep only the chain's ingress — the lanes — and egress — each owning a
+// static partition of the stages' tx rings, which hold only packets that
+// finished their chain, and calling the sink. Whoever enqueues into a
+// receive ring notices it at its high watermark (postHigh), while the
+// backpressure policy that acts on it, supervision, the grant watchdog and
+// the weight controller run on a decoupled control goroutine at the paper's
+// cadences (Config.BackpressurePeriod 1 ms, Config.WeightPeriod 10 ms).
 //
 // Failure model: stages are supervised (see supervise.go). A handler panic
 // fails only its stage; a handler that exceeds the grant deadline is
-// detached so it can never wedge the scheduler; failed stages restart with
+// detached and its core loop replaced, so it can never wedge the core; failed stages restart with
 // exponential backoff under a max-restart circuit breaker, and chains
 // through a failed stage either shed at entry (fail-closed, the default) or
 // bypass the dead hop (fail-open). Every packet lost to a fault is charged
@@ -55,8 +57,8 @@
 // and shutdown.
 //
 // File map, one plane per file: config.go is the Config and its validation;
-// dataplane.go the Engine, stage, registration and Run; sched.go the per-core
-// scheduler, the workers it grants and their hop (forward); mover.go the TX
+// dataplane.go the Engine, stage, registration and Run; sched.go the core
+// loops, their grants, the hop (forward) and the grant watchdog; mover.go the TX
 // shards' egress (moveStages, deliver) with lanes.go their ingress side;
 // control.go the backpressure and weight step on the control loop;
 // metrics.go the stats and telemetry surface.
@@ -107,7 +109,7 @@ type Packet struct {
 	frame0 []byte
 
 	// Drop, when set by a handler, discards the packet instead of
-	// forwarding it: the worker recycles it and charges an NF drop (the
+	// forwarding it: the grant recycles it and charges an NF drop (the
 	// path fault injectors use to model transient NF errors). The flag is
 	// cleared before the descriptor is reused.
 	Drop bool
@@ -132,8 +134,8 @@ type Handler func(*Packet)
 // BatchHandler is the engine's handler shape: it processes a whole dequeued
 // batch (at most Config.BatchSize packets) in one call, as libnf hands an NF
 // a burst of descriptors. Handlers mark discards by setting Packet.Drop; the
-// worker recycles those and charges them to NFDrops. The slice is the
-// worker's scratch and must not be retained past the call.
+// grant recycles those and charges them to NFDrops. The slice is the
+// incarnation's scratch and must not be retained past the call.
 type BatchHandler func([]*Packet)
 
 type stage struct {
@@ -143,19 +145,18 @@ type stage struct {
 	// fn receives each dequeued chunk whole (see runBatch).
 	fn BatchHandler
 	// rx is a multi-producer ring: movers (lane drains at a chain entry)
-	// and upstream workers (the grant's forward, mid-chain) each reserve a
-	// run with one CAS and publish it in reservation order, without a lock;
-	// the stage's live worker is normally the single consumer (a detached
-	// worker incarnation may race it briefly, which the multi-consumer side
-	// allows).
+	// and upstream grants (forward, mid-chain) each reserve a run with one
+	// CAS and publish it in reservation order, without a lock; the stage's
+	// core loop is normally the single consumer (a detached loop may race
+	// it briefly, which the multi-consumer side allows).
 	rx *ring.MPMC[*Packet]
 	// tx holds only the packets that finished their chain here, on their
-	// way to the sink. It is MPMC on the producer side so a detached worker
-	// incarnation waking from a stall can never corrupt the ring against
-	// its replacement; the stage's owning mover remains the single consumer.
+	// way to the sink. It is MPMC on the producer side so a detached core
+	// loop waking from a stall can never corrupt the ring against its
+	// replacement; the stage's owning mover remains the single consumer.
 	tx *ring.MPMC[*Packet]
 	// mov is the TX shard owning this stage's tx ring (the wake target for
-	// workers publishing into it); assigned by Run before workers spawn.
+	// grants publishing into it); assigned by Run before the cores start.
 	mov *mover
 	// rem, when non-nil, marks a remote stage: the handler ships packets to
 	// a peer engine over rem.client instead of processing them (remote.go).
@@ -166,7 +167,7 @@ type stage struct {
 	weight atomic.Int64
 	yield  atomic.Bool
 	// hot is the enqueue-time watermark post: the rx depth (>= highWater, so
-	// never 0) an enqueuer — a lane-draining mover or an upstream worker —
+	// never 0) an enqueuer — a lane-draining mover or an upstream grant —
 	// saw right after enqueueing here, 0 once the control goroutine has
 	// consumed it. upstream is who the posting enqueuer tells to yield: the
 	// stages all of whose chains reach this one further down (fixed by
@@ -174,9 +175,10 @@ type stage struct {
 	hot      atomic.Int32
 	upstream []*stage
 
-	// w is the live worker incarnation (grant/done channels, scratch,
-	// in-flight claim counter). Swapped on supervised restart; epoch
-	// stamps incarnations so a stale worker can detect it was detached.
+	// w is the live incarnation (scratch batch, in-flight claim counter)
+	// the stage's grants run with. Swapped on supervised restart; epoch
+	// stamps incarnations so a grant still running in a detached core loop
+	// can detect it was retired.
 	w     atomic.Pointer[workerCtx]
 	epoch atomic.Uint64
 
@@ -189,22 +191,22 @@ type stage struct {
 	restarts       atomic.Uint64
 
 	// Hot counters, grouped by writer with cache-line pads between groups
-	// (the ring.Pad contract): the stage's worker hammering processed can
+	// (the ring.Pad contract): the stage's grants hammering processed can
 	// never invalidate the line carrying its enqueuers' arrivals, and vice
 	// versa. Within a group the writers are the same goroutine (or rare
 	// cold paths), so sharing a line is free.
 	_          ring.Pad
-	processed  atomic.Uint64 // worker-written
-	busyNanos  atomic.Int64  // worker-written
-	nfDrops    atomic.Uint64 // worker-written: handler discards via Packet.Drop
-	wasted     atomic.Uint64 // worker-written: processed here, died at the next full ring
+	processed  atomic.Uint64 // grant-written
+	busyNanos  atomic.Int64  // grant-written
+	nfDrops    atomic.Uint64 // grant-written: handler discards via Packet.Drop
+	wasted     atomic.Uint64 // grant-written: processed here, died at the next full ring
 	_          ring.Pad
 	arrivals   atomic.Uint64 // enqueuer-written: offered load
 	drops      atomic.Uint64 // enqueuer-written: full-rx-ring losses
 	faultDrops atomic.Uint64 // supervisor-written: crash/stall/drain losses
 	_          ring.Pad
 
-	pass float64 // WFQ virtual time, owned by the scheduler goroutine
+	pass float64 // WFQ virtual time, owned by the stage's core loop
 	// costEst is the service-time estimator the simulator's NFs use — the
 	// median over a moving window — fed one busy/processed sample per weight
 	// tick, in costUnit per packet, on the control goroutine only. estCost
@@ -245,7 +247,7 @@ type Engine struct {
 	chainPolicy []FailPolicy
 
 	// anyFaulty is the fast-path gate for all supervision checks: while
-	// every stage is Healthy the workers' forward and the supervisor skip
+	// every stage is Healthy the grants' forward and the supervisor skip
 	// per-packet and per-tick health work entirely.
 	anyFaulty atomic.Bool
 
@@ -254,12 +256,20 @@ type Engine struct {
 	// that have exited.
 	stopped atomic.Bool
 
-	// liveWorkers counts running worker goroutines (wedged ones included
-	// until they wake); shutdown waits for it boundedly.
-	liveWorkers atomic.Int64
+	// cores are the scheduler cores (sched.go). phase is the run phase the
+	// core loops follow (phaseRun, phaseDrain, phaseExit), and liveCores
+	// counts the loops Run still waits for: a loop the watchdog detached
+	// hands its count to its replacement, so a wedged one is never waited
+	// for. detached counts loops the watchdog retired whose grant has not
+	// returned yet: the shutdown drain waits for them (up to its deadline)
+	// so the packets they hold are recycled before Run returns.
+	cores     []*coreSched
+	phase     atomic.Int32
+	liveCores atomic.Int32
+	detached  atomic.Int32
 
 	// jitterMu guards jitterRand, the seeded PRNG behind restart-backoff
-	// jitter (reachable from every core's scheduler loop).
+	// jitter (reachable from every core loop and the watchdog).
 	jitterMu   sync.Mutex
 	jitterRand *rand.Rand
 
@@ -312,7 +322,7 @@ type Engine struct {
 	//
 	// Layout: the counters are grouped by their steady-state writers —
 	// entry-side (a mover's lane drain, enqueueRouted), delivery-side (a
-	// mover's tx sweep), and worker/control — with a cache-line pad
+	// mover's tx sweep), and grant/control — with a cache-line pad
 	// between groups so the shard draining lanes into Injected never
 	// bounces the line another shard bumps Delivered on.
 	Injected        atomic.Uint64 // lane-drain-written
@@ -323,7 +333,7 @@ type Engine struct {
 	RingDrops       atomic.Uint64 // lane-drain- and forward-written (entry vs mid-chain)
 	_               ring.Pad
 	Delivered       atomic.Uint64 // mover-written
-	// MidRingDrops is the subset of RingDrops a worker's forward charges:
+	// MidRingDrops is the subset of RingDrops a grant's forward charges:
 	// packets that were already accepted (counted Injected) and then died
 	// at a full mid-chain receive ring. Entry-ring drops are pre-acceptance
 	// and appear only in RingDrops, so the reconciliation above can be
@@ -336,9 +346,9 @@ type Engine struct {
 	latMaxNanos    atomic.Int64
 	_              ring.Pad
 	ThrottleEvents atomic.Uint64 // control-written
-	NFDrops        atomic.Uint64 // worker-written
-	FaultDrops     atomic.Uint64 // worker/supervisor-written
-	ShutdownDrops  atomic.Uint64 // shutdown/worker-written
+	NFDrops        atomic.Uint64 // grant-written
+	FaultDrops     atomic.Uint64 // grant/supervisor-written
+	ShutdownDrops  atomic.Uint64 // shutdown/grant-written
 	// RemoteDelivered/RemoteDrops are written from remote-link callback
 	// goroutines (ack-rate and transition-rate, never per local grant).
 	RemoteDelivered atomic.Uint64
@@ -497,16 +507,22 @@ func New(cfg Config) *Engine {
 	e.movers = make([]*mover, cfg.Movers)
 	for i := range e.movers {
 		m := &mover{
-			id:     i,
-			buf:    make([]*Packet, batchMax),
-			wakeCh: make(chan struct{}, 1),
-			batch:  startBatch,
-			ewma:   float64(startBatch),
-			rc:     e.newRecycler(batchMax),
+			id:    i,
+			buf:   make([]*Packet, batchMax),
+			batch: startBatch,
+			ewma:  float64(startBatch),
+			rc:    e.newRecycler(batchMax),
 		}
+		m.ch = make(chan struct{}, 1)
 		m.curBatch.Store(int32(startBatch))
 		m.lanes.Store(&[]*injectLane{})
 		e.movers[i] = m
+	}
+	e.cores = make([]*coreSched, cfg.Cores)
+	for i := range e.cores {
+		c := &coreSched{id: i}
+		c.ch = make(chan struct{}, 1)
+		e.cores[i] = c
 	}
 	e.drainRC = e.newRecycler(cfg.BatchSize)
 	if cfg.FrameSize > 0 {
@@ -657,48 +673,37 @@ func (e *Engine) SetSink(fn func([]*Packet)) {
 }
 
 // Run operates the pipeline until ctx is canceled, then winds down in
-// order: a bounded drain (grant and move until the rings empty or
-// Config.DrainTimeout passes), a stop gate rejecting later Injects, worker
-// shutdown with a bounded wait (a wedged handler cannot block Run), and a
-// final sweep that charges every packet still in flight to ShutdownDrops so
-// the accounting reconciliation holds after Run returns. It blocks; run it
-// on its own goroutine. Run may be called once.
+// order: a bounded drain (the core loops grant and Run's goroutine moves
+// until the rings empty or Config.DrainTimeout passes), the core loops'
+// exit under the grant watchdog (a wedged handler cannot block Run), a stop
+// gate rejecting later Injects, and a final sweep that charges every packet
+// still in flight to ShutdownDrops so the accounting reconciliation holds
+// after Run returns. It blocks; run it on its own goroutine. Run may be
+// called once.
 func (e *Engine) Run(ctx context.Context) {
 	if !e.running.CompareAndSwap(false, true) {
 		panic("dataplane: Run called twice")
 	}
 	e.initControl()
 	e.moverStop = make(chan struct{})
-	// Partition the stages across the TX shards before any worker can
-	// publish into a tx ring (workers wake their stage's owning mover).
+	// Partition the stages across the TX shards before any grant can
+	// publish into a tx ring (a grant wakes its stage's owning mover).
 	e.assignMovers()
 	// Remote links start dialing now, not at AddRemoteStage: their state
 	// callbacks touch supervision structures that must not race setup.
 	e.startRemotes()
 	for _, s := range e.stages {
-		e.spawnWorker(s)
+		e.newIncarnation(s)
 	}
-	// The three decoupled planes, mirroring the paper's manager split:
-	// scheduler loops (one per core) grant stages, whose workers carry
-	// their packets to the next hop; mover shards (the manager's RX and TX
-	// threads) take lanes in and exits out to the sink; and the control
-	// plane — this goroutine — runs backpressure, supervision and the
-	// weight controller at their configured cadences, off the hot path.
-	var cores sync.WaitGroup
-	for core := 0; core < e.cfg.Cores; core++ {
-		cores.Add(1)
-		go func(core int) {
-			defer cores.Done()
-			timer := newGrantTimer()
-			defer timer.Stop()
-			for ctx.Err() == nil {
-				if !e.scheduleCore(core, timer) {
-					// Idle: plain sleep, not time.After — the select-timer
-					// variant allocates, and this is inside the hot loop.
-					time.Sleep(50 * time.Microsecond)
-				}
-			}
-		}(core)
+	// The three decoupled planes, mirroring the paper's manager split: core
+	// loops (one per core) grant their stages and carry each hop; mover
+	// shards (the manager's RX and TX threads) take lanes in and exits out
+	// to the sink; and the control plane — this goroutine — runs
+	// backpressure, supervision, the grant watchdog and the weight
+	// controller at their configured cadences, off the hot path.
+	e.liveCores.Store(int32(len(e.cores)))
+	for _, c := range e.cores {
+		e.startCore(c)
 	}
 	for _, m := range e.movers {
 		// Every shard runs, even with an empty stage partition: inject
@@ -708,13 +713,5 @@ func (e *Engine) Run(ctx context.Context) {
 		go e.runMover(m)
 	}
 	e.controlLoop(ctx)
-	// Shutdown. Join the scheduler loops first; movers keep draining tx
-	// rings until then so the graceful drain starts from near-empty rings.
-	// Only after the movers exit does the serial drain own every ring.
-	cores.Wait()
-	close(e.moverStop)
-	e.moverWg.Wait()
-	timer := newGrantTimer()
-	defer timer.Stop()
-	e.shutdown(timer)
+	e.shutdown()
 }

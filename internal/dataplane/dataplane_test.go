@@ -114,11 +114,11 @@ func TestWeightedSharesSkewThroughput(t *testing.T) {
 	}
 	// Two independent single-stage chains with equal work and a 4:1
 	// manual weight ratio: the heavy stage should process several times
-	// more packets when both queues are always full.
-	// Pre-fill both queues so the scheduler is never idle-constrained by
-	// the injector (on one CPU a hot injector goroutine starves), then
-	// measure a window during which both queues stay non-empty.
-	e := New(Config{RingSize: 4096, BatchSize: 8, WeightPeriod: 0})
+	// more packets while both queues stay non-empty. The window is paced on
+	// counts, not the clock: it opens once the movers have filled both entry
+	// rings and closes after a fixed number of the light stage's packets,
+	// so neither a slow start nor host steal can shift it.
+	e := New(Config{RingSize: 16384, BatchSize: 8, WeightPeriod: 0})
 	work := func(p *Packet) { spin(20 * time.Microsecond) }
 	a := e.AddStage("a", 4096, work)
 	b := e.AddStage("b", 1024, work)
@@ -127,30 +127,41 @@ func TestWeightedSharesSkewThroughput(t *testing.T) {
 	e.MapFlow(0, ca)
 	e.MapFlow(1, cb)
 	// One lane per chain, filled before Run: the movers empty both into the
-	// entry rings (3000 < the 3276-packet high watermark) as soon as it
-	// starts.
-	for flow := 0; flow < 2; flow++ {
-		h := e.ProducerHandle(0)
-		for i := 0; i < 3000; i++ {
-			offer(h, &Packet{FlowID: flow})
+	// entry rings (12 000 < the 13 107-packet high watermark) as soon as it
+	// starts. At 4:1 the heavy stage runs about 4 096 packets while the
+	// light one runs its 1 024, a window of about 100 ms: long enough that
+	// one descheduled grant does not decide the ratio, with a queue deep
+	// enough for a skew three times that.
+	const queued, lightWindow = 12000, 1024
+	var lanes [2]*ProducerHandle
+	for flow := range lanes {
+		lanes[flow] = e.ProducerHandle(0)
+		for i := 0; i < queued; i++ {
+			offer(lanes[flow], &Packet{FlowID: flow})
 		}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	go e.Run(ctx)
-	time.Sleep(40 * time.Millisecond)
-	cancel()
+	done := make(chan struct{})
+	go func() { e.Run(ctx); close(done) }()
+	defer func() {
+		cancel()
+		<-done
+	}()
+	waitFor(t, 10*time.Second, "both entry rings to fill", func() bool {
+		return e.Injected.Load() == 2*queued
+	})
 	st := e.Stats()
-	if st[0].Processed >= 2900 || st[1].Processed >= 2900 {
-		t.Skipf("queues drained during window (a=%d b=%d); host too fast for sizing assumptions",
-			st[0].Processed, st[1].Processed)
+	a0, b0 := st[0].Processed, st[1].Processed
+	waitFor(t, 30*time.Second, "the light stage's window", func() bool {
+		return e.Stats()[1].Processed >= b0+lightWindow
+	})
+	st = e.Stats()
+	da, db := st[0].Processed-a0, st[1].Processed-b0
+	if st[0].Processed >= queued {
+		t.Fatalf("the heavy stage drained its queue inside the window (a=%d b=%d): the window is mis-sized", da, db)
 	}
-	if st[0].Processed < 200 {
-		t.Skipf("host too slow: only %d grants in the window", st[0].Processed)
-	}
-	ratio := float64(st[0].Processed) / float64(st[1].Processed)
-	if ratio < 2.0 {
-		t.Fatalf("4:1 weights produced only %.2fx throughput skew (a=%d b=%d)",
-			ratio, st[0].Processed, st[1].Processed)
+	if ratio := float64(da) / float64(db); ratio < 2.0 {
+		t.Fatalf("4:1 weights produced only %.2fx throughput skew (a=%d b=%d)", ratio, da, db)
 	}
 }
 

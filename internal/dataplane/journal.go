@@ -41,7 +41,7 @@ const (
 	// DecisionHealth is a supervision state transition (Healthy, Degraded,
 	// Failed, Restarting) with the fault note when one caused it.
 	DecisionHealth
-	// DecisionRestart is a supervised worker respawn after backoff.
+	// DecisionRestart is a supervised stage restart after backoff.
 	DecisionRestart
 	// DecisionCircuitOpen marks a stage failed permanently after
 	// MaxRestarts consecutive failures.
@@ -104,7 +104,7 @@ type Decision struct {
 	Stage string       `json:"stage,omitempty"`
 
 	// Backpressure cause: the observed queue depth against the watermarks —
-	// for a bp_on, the deeper of what the enqueuer (lane drain or worker)
+	// for a bp_on, the deeper of what the enqueuer (lane drain or grant)
 	// posted and what the ring held at decision time.
 	QueueDepth int `json:"qdepth,omitempty"`
 	HighWater  int `json:"high_water,omitempty"`

@@ -10,7 +10,7 @@ package dataplane
 //   - A producer registers with Engine.ProducerHandle and receives a
 //     private SPSC lane. Lane enqueues are single-producer ring writes —
 //     zero CAS, zero contention with other producers, with the movers or
-//     with the workers forwarding mid-chain traffic.
+//     with the core loops forwarding mid-chain traffic.
 //   - Each lane is bound (round-robin at registration) to one TX shard,
 //     which drains it during its sweeps and hands each drained batch to
 //     enqueueRouted — the only code that routes a packet, counts its
@@ -275,6 +275,9 @@ func (e *Engine) enqueueRouted(ps []*Packet, now int64, rc *recycler) {
 			e.FaultEntryDrops.Add(uint64(len(run)))
 		default:
 			n := entry.rx.EnqueueBatch(run)
+			if n > 0 {
+				e.cores[entry.core].maybeWake()
+			}
 			// A saturated entry closes its own gate: same check as the
 			// grant's forward mid-chain.
 			if l := entry.rx.Len(); l >= e.highWater && entry.hot.Load() == 0 {

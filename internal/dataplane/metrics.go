@@ -26,8 +26,8 @@ type StageStats struct {
 	// paper's wasted-work metric).
 	QueueDrops uint64
 	Wasted     uint64
-	// Health is the supervision state; Restarts counts supervised worker
-	// respawns; FaultDrops counts packets lost in this stage's crashes,
+	// Health is the supervision state; Restarts counts supervised stage
+	// restarts; FaultDrops counts packets lost in this stage's crashes,
 	// stalls and failed-queue drains; NFDrops counts packets the handler
 	// discarded via Packet.Drop.
 	Health     Health

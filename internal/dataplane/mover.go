@@ -13,13 +13,13 @@ package dataplane
 // dedicated cores, a mover shares the host's with everything else. Stage
 // affinity keeps every tx ring single-consumer while the engine runs and
 // preserves per-flow FIFO: a flow's packets traverse a fixed stage
-// sequence, each hop's ring is FIFO and is fed by one worker, and every
+// sequence, each hop's ring is FIFO and is fed by one core loop, and every
 // ring on the path has exactly one drainer.
 //
 // Idle movers descend an adaptive spin → yield → park ladder so unused
 // shards don't burn cores: a mover that sweeps dry respins a few times
 // (work usually arrives within a batch quantum), then yields the OS thread
-// via Gosched, then parks on its wake channel. Producers and workers
+// via Gosched, then parks on its wake channel. Producers and grants
 // publishing into a parked mover's lanes or tx rings send a non-blocking
 // wake token; a bounded park timeout backstops the (seqcst-ordered,
 // therefore lost-wakeup-free) signal so a missed edge costs bounded
@@ -51,17 +51,11 @@ const (
 // max(256, Config.BatchSize), the size of each shard's scratch slab.
 const moverBatchMin = 32
 
-// Mover run states (mover.state).
-const (
-	moverActive int32 = iota
-	moverParked
-)
-
 // mover is one TX shard: a goroutine draining its bound inject lanes into
 // chain entries and its partition of stage tx rings into the sink.
 type mover struct {
 	id     int
-	stages []*stage  // static partition, fixed before Run spawns workers
+	stages []*stage  // static partition, fixed before Run starts the cores
 	buf    []*Packet // sweep scratch, sized to the adaptive batch ceiling
 	rc     *recycler // shard-local freelist batcher for in-flight drops
 	// nstages mirrors len(stages) for MoverStats, which may race Run's
@@ -85,17 +79,12 @@ type mover struct {
 	ewma     float64
 	curBatch atomic.Int32
 
-	// Externally-touched hot fields get their own cache line: workers on
-	// other cores hit state (maybeWake's load) and wakeCh on every publish
-	// into a parked shard, and must not bounce the line carrying the
-	// mover's own accumulators below.
-	_     ring.Pad
-	state atomic.Int32
-	wakes atomic.Uint64 // producer- and worker-written: wake tokens delivered
-	// wakeCh carries at most one pending wake token; producers and workers
-	// publishing into a parked mover's lanes or tx rings send into it
-	// without blocking.
-	wakeCh chan struct{}
+	// The wake slot gets its own cache line: producers and core loops on
+	// other Ps hit it on every publish into a parked shard's lanes or tx
+	// rings, and must not bounce the line carrying the mover's own
+	// accumulators below.
+	_ ring.Pad
+	parker
 
 	// Mover-written telemetry: sweeps counts drain passes over the
 	// partition, moved the packets those sweeps delivered from tx rings,
@@ -148,19 +137,6 @@ func (e *Engine) MoverStats() []MoverStats {
 	return out
 }
 
-// maybeWake delivers a wake token if the mover is parked (or descending
-// into a park). One atomic load on the worker's publish path; the cap-1
-// channel send never blocks.
-func (m *mover) maybeWake() {
-	if m.state.Load() == moverParked {
-		select {
-		case m.wakeCh <- struct{}{}:
-			m.wakes.Add(1)
-		default:
-		}
-	}
-}
-
 // pending reports whether any owned tx ring or bound inject lane holds
 // packets — the post-park re-check that closes the wake race window.
 func (m *mover) pending() bool {
@@ -179,7 +155,7 @@ func (m *mover) pending() bool {
 
 // assignMovers statically partitions the stages across the engine's movers
 // (stage i → mover i mod M) and records each stage's owner for the
-// enqueue-side wake path. Called once by Run, before any worker spawns.
+// enqueue-side wake path. Called once by Run, before any core starts.
 func (e *Engine) assignMovers() {
 	for _, m := range e.movers {
 		m.stages = m.stages[:0]
@@ -228,7 +204,7 @@ func (m *mover) adaptBatch(drained, min, max int) {
 // near-empty tx rings).
 func (e *Engine) runMover(m *mover) {
 	defer e.moverWg.Done()
-	timer := newGrantTimer()
+	timer := newParkTimer()
 	defer timer.Stop()
 	idle := 0
 	for {
@@ -253,40 +229,23 @@ func (e *Engine) runMover(m *mover) {
 		idle++
 		switch {
 		case idle <= moverSpinSweeps:
-			// Spin: re-sweep immediately; a worker mid-grant publishes
+			// Spin: re-sweep immediately; a grant in progress publishes
 			// within a batch quantum.
 		case idle <= moverSpinSweeps+moverYieldSweeps:
 			runtime.Gosched()
 		default:
-			// Park. Publish the parked state before re-checking the rings:
-			// a worker that enqueues after the re-check must observe the
-			// state (seqcst total order) and deliver a wake token; the
-			// bounded timeout backstops the edge either way.
-			m.state.Store(moverParked)
+			// Park. Publish the parked state before re-checking the rings
+			// (see parker); the bounded timeout backstops the edge.
+			m.state.Store(parkParked)
 			if m.pending() {
-				m.state.Store(moverActive)
+				m.state.Store(parkActive)
 				idle = 0
 				continue
 			}
 			m.parks.Add(1)
-			timer.Reset(moverParkMax)
-			select {
-			case <-m.wakeCh:
-				if !timer.Stop() {
-					<-timer.C
-				}
-			case <-timer.C:
-			case <-e.moverStop:
-				m.state.Store(moverActive)
-				if !timer.Stop() {
-					select {
-					case <-timer.C:
-					default:
-					}
-				}
+			if !m.wait(timer, moverParkMax, e.moverStop) {
 				return
 			}
-			m.state.Store(moverActive)
 			// Skip straight to the yield phase: one wake usually means one
 			// batch, not a sustained burst.
 			idle = moverSpinSweeps
@@ -295,11 +254,12 @@ func (e *Engine) runMover(m *mover) {
 }
 
 // moveAll serially delivers every stage's tx ring — the shutdown drain's
-// single-threaded mover, run only after the TX shards have exited.
-func (e *Engine) moveAll() { e.moveStages(e.stages, e.drainBuf, e.drainRC) }
+// single-threaded mover, run only after the TX shards have exited. Reports
+// how many packets it delivered.
+func (e *Engine) moveAll() int { return e.moveStages(e.stages, e.drainBuf, e.drainRC) }
 
 // moveStages drains each given stage's tx ring — which holds only packets
-// that finished their chain, the workers having forwarded every other
+// that finished their chain, the grants having forwarded every other
 // survivor themselves (see forward) — and delivers each drained batch: span
 // completion, the end-to-end latency account, then the sink. Counters are
 // flushed once per call (add-N, not N adds), and every piece of scratch
@@ -332,7 +292,7 @@ func (e *Engine) moveStages(stages []*stage, buf []*Packet, rc *recycler) int {
 			moved += k
 			if e.rec != nil {
 				// Flight recorder: stamp sampled packets' move times with a
-				// fresh clock read (the lazy `now` above can lag a worker's
+				// fresh clock read (the lazy `now` above can lag a grant's
 				// exit stamp and break hop monotonicity) and complete their
 				// spans.
 				e.stampSpans(buf[:k])

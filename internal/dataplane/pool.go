@@ -27,7 +27,7 @@ package dataplane
 // Config.DebugPool arms ownership tracking for debugging violations of this
 // contract: every recycle path flips the descriptor's poolState live→pooled
 // with a CAS and panics on a double put; every Get marks it live again; and
-// stage workers panic (naming the stage) when a handler receives a pooled
+// stage grants panic (naming the stage) when a handler receives a pooled
 // descriptor — a use-after-recycle. Disabled, the tracking costs nothing:
 // the hot path stays allocation-free and check-free.
 

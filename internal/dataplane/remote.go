@@ -3,7 +3,7 @@ package dataplane
 // Remote stages: the cross-host half of a service chain (paper §3.4).
 //
 // A remote stage looks like any other NF to the scheduler — it has a receive
-// ring, a worker, a weight, a health state — but its "handler" serializes
+// ring, an incarnation, a weight, a health state — but its "handler" serializes
 // packets onto a credit-windowed TCP link (internal/remote) instead of
 // processing them. The chain continues on the peer engine, whose accept side
 // (RemoteIngress) re-materializes descriptors and injects them into its own
@@ -33,7 +33,7 @@ package dataplane
 //     policy takes over exactly as for a crashed local NF.
 //
 // Accounting: a packet granted to a remote stage leaves the local ledger's
-// ordinary classes and enters the transport's. The worker recycles the
+// ordinary classes and enters the transport's. The grant recycles the
 // descriptor immediately (its bytes are copied into the frame), and the
 // packet is charged to exactly one of RemoteDelivered (peer acked the frame)
 // or RemoteDrops (link died with it queued or in flight, the circuit opened,

@@ -1,21 +1,23 @@
 package dataplane
 
-// Supervision: the NF-Manager liveness layer around stage workers.
+// Supervision: the NF-Manager liveness layer around stage handlers.
 //
 // The paper's NF Manager assumes misbehaving NFs are contained — overload
 // is managed (backpressure, early discard), never fatal. This file gives
 // the live goroutine dataplane the same property:
 //
-//   - A handler panic fails only its stage: the worker recovers, charges
-//     the in-flight chunk to the fault ledger, reports the failure through
-//     its done channel and exits; the scheduler marks the stage Failed.
-//   - A handler that blocks past Config.GrantTimeout cannot wedge the
-//     scheduler: the grant wait has a deadline, and an overdue stage is
-//     *detached* — its epoch is bumped so the stale worker discovers it on
-//     wake, and its in-flight packets are claimed via an atomic Swap of
-//     the incarnation's inflight counter. Exactly one side (worker,
-//     detaching scheduler, or the shutdown sweep) wins the Swap and owns
-//     the accounting, so no packet is double-counted or lost.
+//   - A handler panic fails only its stage: the grant recovers it, charges
+//     the in-flight chunk to the fault ledger and returns, and the core
+//     loop marks the stage Failed and moves on.
+//   - A handler that blocks past Config.GrantTimeout cannot wedge its
+//     core: the control goroutine's watchdog (sched.go) takes the overdue
+//     grant from the core loop with one CAS on the loop's grant stamp,
+//     *detaches* the stage — its epoch is bumped so the stale incarnation
+//     discovers it on wake, and its in-flight packets are claimed via an
+//     atomic Swap of the incarnation's inflight counter — and starts a
+//     replacement core loop. Exactly one side (the grant, the watchdog, or
+//     the shutdown sweep) wins the Swap and owns the accounting, so no
+//     packet is double-counted or lost.
 //   - Failed stages restart with exponential backoff plus seeded jitter
 //     under a max-restart circuit breaker; a restarted stage re-earns
 //     Healthy through a probation of clean grants (Restarting → Degraded
@@ -23,13 +25,16 @@ package dataplane
 //   - Chains through a Failed stage follow a per-chain policy: FailClosed
 //     sheds at chain entry (reusing the backpressure gate shape, charged
 //     to FaultEntryDrops), FailOpen bypasses the dead hop in the upstream
-//     worker's forward.
+//     grant's forward.
 //
-// Goroutines cannot be killed, so a truly wedged worker leaks until it
-// wakes; the circuit breaker bounds the leak, and every structure the old
-// incarnation might touch on wake is either epoch-guarded, per-incarnation
-// (scratch batch, channels, inflight), or safe under an extra producer
-// (the MPMC tx ring).
+// Goroutines cannot be killed, so a truly wedged core loop leaks until its
+// handler returns; the circuit breaker bounds the leak, and every structure
+// the old loop might touch on wake is either guarded by the CAS it lost
+// (scheduler state), epoch-guarded, per-incarnation (scratch batch,
+// inflight), or safe under an extra producer (the MPMC tx ring). A restart
+// can re-enter a handler that is still wedged in the detached loop, as any
+// restart of a stalled NF does; a detached loop never starts its handler
+// again.
 
 import (
 	"fmt"
@@ -56,8 +61,8 @@ const (
 	// Failed: crashed or stalled; waiting out restart backoff, or down
 	// permanently once the circuit breaker opens.
 	Failed
-	// Restarting: a fresh worker was spawned and has yet to complete its
-	// first grant.
+	// Restarting: a fresh incarnation was installed and has yet to
+	// complete its first grant.
 	Restarting
 )
 
@@ -100,7 +105,7 @@ const restartNever = int64(math.MaxInt64)
 // restartBackoff).
 const restartBackoffMax = 500 * time.Millisecond
 
-// workerKind distinguishes worker incarnations by what their stage's
+// workerKind distinguishes stage incarnations by what their stage's
 // handler does with packets.
 type workerKind uint8
 
@@ -114,88 +119,39 @@ const (
 	workerRemote
 )
 
-// workerCtx is one worker incarnation. Restart replaces the whole context,
-// so a stale worker can never share channels, scratch or the inflight
-// counter with its replacement.
+// workerCtx is one incarnation of a stage: what its grants run with. Restart
+// replaces the whole context, so a stale incarnation can never share
+// scratch or the inflight counter with its replacement.
 type workerCtx struct {
 	// epoch identifies the incarnation; stage.epoch moves past it when
 	// the incarnation is detached.
 	epoch uint64
 	// kind is the incarnation's handler class (local NF or remote link).
 	kind workerKind
-	// grant carries the batch budget; closed on shutdown.
-	grant chan int
-	// done reports grant completion; cap 1 so a worker finishing after
-	// detach (or after shutdown) never blocks sending to a departed
-	// scheduler.
-	done chan grantResult
 	// batch is the incarnation's dequeue scratch.
 	batch []*Packet
-	// inflight is the chunk ownership arbiter: the worker publishes the
+	// inflight is the chunk ownership arbiter: the grant publishes the
 	// chunk size before running handlers; whoever Swap()s it to zero owns
 	// the accounting for those packets.
 	inflight atomic.Int64
-	// closed guards grant against double close: both detach and shutdown
-	// retire an incarnation, and a detached-but-never-restarted stage
-	// reaches shutdown with the same incarnation current.
-	closed atomic.Bool
-	// okGrants counts clean grants since (re)start; owned by the
-	// scheduler goroutine of the stage's core.
+	// okGrants counts clean grants since (re)start; owned by the loop of
+	// the stage's core.
 	okGrants int
 }
 
-// grantResult is a worker's per-grant completion report.
-type grantResult struct {
-	panicked bool
-	panicVal string
-}
-
-// spawnWorker starts a fresh worker incarnation for the stage. The epoch
-// bump precedes the pointer swap so any previous incarnation that wakes
-// later observes it is stale before it can signal anyone.
-func (e *Engine) spawnWorker(s *stage) {
+// newIncarnation installs a fresh incarnation for the stage. The epoch bump
+// precedes the pointer swap so a previous incarnation still inside its
+// handler observes it is stale before it can start another chunk.
+func (e *Engine) newIncarnation(s *stage) {
 	kind := workerLocal
 	if s.rem != nil {
 		kind = workerRemote
 	}
-	w := &workerCtx{
+	s.w.Store(&workerCtx{
 		epoch: s.epoch.Add(1),
 		kind:  kind,
-		grant: make(chan int),
-		done:  make(chan grantResult, 1),
 		batch: make([]*Packet, e.cfg.BatchSize),
-	}
-	s.w.Store(w)
-	e.liveWorkers.Add(1)
-	go e.worker(s, w)
-}
-
-// newGrantTimer returns a stopped, drained timer for waitGrant reuse.
-func newGrantTimer() *time.Timer {
-	t := time.NewTimer(time.Hour)
-	if !t.Stop() {
-		<-t.C
-	}
-	return t
-}
-
-// waitGrant waits for the grant to complete, bounded by the grant deadline
-// (negative d waits forever). The timer must come from newGrantTimer and is
-// left stopped and drained either way, so the wait is allocation-free.
-func waitGrant(w *workerCtx, timer *time.Timer, d time.Duration) (grantResult, bool) {
-	if d < 0 {
-		return <-w.done, true
-	}
-	timer.Reset(d)
-	select {
-	case res := <-w.done:
-		if !timer.Stop() {
-			<-timer.C
-		}
-		return res, true
-	case <-timer.C:
-		return grantResult{}, false
-	}
+	})
 }
 
 // decInflight claims one unit from an incarnation's inflight counter,
@@ -239,24 +195,12 @@ func (e *Engine) setHealthNote(s *stage, h Health, note string) {
 	}
 }
 
-// closeGrant retires an incarnation's grant channel exactly once. Safe
-// because only the stage's (single) grantor ever sends on it, and a
-// retired incarnation is never granted again.
-func closeGrant(w *workerCtx) {
-	if w.closed.CompareAndSwap(false, true) {
-		close(w.grant)
-	}
-}
-
-// detachStage abandons a worker incarnation that overran the grant
-// deadline: the epoch bump makes the incarnation stale, and the inflight
-// Swap claims whatever chunk it was holding for the fault ledger (if the
-// worker completes the chunk concurrently, exactly one side wins the Swap).
-// Closing the grant channel releases the worker if it finished just after
-// the deadline and re-blocked waiting for a grant that will never come.
+// detachStage abandons an incarnation whose grant overran the deadline:
+// the epoch bump makes the incarnation stale, and the inflight Swap claims
+// whatever chunk it was holding for the fault ledger (if the grant
+// completes the chunk concurrently, exactly one side wins the Swap).
 func (e *Engine) detachStage(s *stage, w *workerCtx) {
 	s.epoch.Add(1)
-	closeGrant(w)
 	if k := w.inflight.Swap(0); k > 0 {
 		e.FaultDrops.Add(uint64(k))
 		s.faultDrops.Add(uint64(k))
@@ -266,7 +210,7 @@ func (e *Engine) detachStage(s *stage, w *workerCtx) {
 
 // failStage marks a stage Failed, schedules its restart (or opens the
 // circuit breaker), and applies chain degradation policies. Called from the
-// scheduler goroutine of the stage's core.
+// loop of the stage's core, or from the watchdog.
 func (e *Engine) failStage(s *stage, kind, msg string) {
 	fails := int(s.consecFails.Add(1))
 	if e.cfg.MaxRestarts >= 0 && fails > e.cfg.MaxRestarts {
@@ -302,16 +246,18 @@ func (e *Engine) restartBackoff(fails int) time.Duration {
 	return time.Duration(float64(d) * f)
 }
 
-// restartStage spawns a replacement worker for a Failed stage. The context
-// swap happens before the health transition so no scheduler can grant a
-// stale incarnation.
+// restartStage installs a replacement incarnation for a Failed stage. The
+// context swap happens before the health transition so no core can grant a
+// stale incarnation, and the stage's core is woken: no enqueue announces
+// that its queue became grantable again.
 func (e *Engine) restartStage(s *stage) {
 	s.restarts.Add(1)
 	e.record(Decision{Kind: DecisionRestart, Chain: -1, Stage: s.name,
 		Failures: int(s.consecFails.Load()),
 		Note:     "attempt " + strconv.FormatUint(s.restarts.Load(), 10)})
-	e.spawnWorker(s)
+	e.newIncarnation(s)
 	e.setHealth(s, Restarting)
+	e.cores[s.core].maybeWake()
 	e.recomputeChainsDown()
 	e.emit(telemetry.LevelInfo, "stage_restart",
 		telemetry.F("stage", s.name),
@@ -344,7 +290,7 @@ func (e *Engine) recomputeChainsDown() {
 
 // remoteLinkState maps a remote link's transport transitions onto its
 // stage's supervision state — the link's reconnect loop plays the role the
-// restart/backoff schedule plays for local workers. Called from the client's
+// restart/backoff schedule plays for local stages. Called from the client's
 // connection-manager goroutine; everything it touches is atomic- or
 // mutex-guarded.
 //
@@ -415,7 +361,7 @@ func (e *Engine) supervise(now int64) {
 	}
 	if allHealthy {
 		// Clear the gate, then look again: a stage that failed on a
-		// scheduler goroutine between the scan above and the clear has
+		// core loop between the scan above and the clear has
 		// already published Failed (failStage sets health before the gate),
 		// so the second look re-raises the gate instead of stranding the
 		// stage with nobody to restart it.
@@ -430,7 +376,7 @@ func (e *Engine) supervise(now int64) {
 }
 
 // bypassFailedHops advances each packet's hop past Failed stages on
-// fail-open chains, so the worker's forward publishes around dead hops (or
+// fail-open chains, so the grant's forward publishes around dead hops (or
 // hands the packet to tx as finished).
 func (e *Engine) bypassFailedHops(ps []*Packet) {
 	for _, pkt := range ps {
@@ -485,78 +431,57 @@ func (e *Engine) idleLanes() bool {
 	return true
 }
 
-// shutdown is Run's wind-down: bounded drain, stop gate, bounded worker
-// join, final sweep. After it returns, every accepted packet is delivered
-// or charged to a drop class — the reconciliation invariant holds for the
-// whole run, not just steady state (the one caveat is a worker preempted
-// between its stop-gate check and publishing to the next rx or tx for longer
-// than the exit wait).
-func (e *Engine) shutdown(timer *time.Timer) {
-	if e.cfg.DrainTimeout >= 0 {
-		deadline := time.Now().Add(e.cfg.DrainTimeout)
-		for time.Now().Before(deadline) {
-			e.coarseNanos.Store(time.Now().UnixNano())
-			// The movers have exited, so their lane-consumer role passes
-			// to this goroutine: drain registered lanes into the chain so
-			// in-lane packets get their delivery chance before the sweep.
-			laneBacklog := 0
+// shutdown is Run's wind-down, entered once ctx is canceled. The movers
+// stop first and this goroutine takes over their lanes and tx rings, while
+// the core loops keep granting, yield flags ignored, until the rings, lanes
+// and remote links are empty with no grant in flight, or
+// Config.DrainTimeout passes; then the core loops exit. The drain also
+// waits for detached loops to return what their wedged handlers hold. The
+// watchdog and the restart pass keep running until the last loop has
+// returned, so a handler wedged in the drain delays Run by at most
+// GrantTimeout. Last, the
+// stop gate closes and a final sweep charges every packet still in a ring
+// to ShutdownDrops: after Run returns, every accepted packet is delivered
+// or charged to a drop class (the one caveat is a detached loop preempted
+// between its stop-gate check and its publish until after the sweep).
+func (e *Engine) shutdown() {
+	close(e.moverStop)
+	e.moverWg.Wait()
+	phase := phaseDrain
+	if e.cfg.DrainTimeout < 0 {
+		phase = phaseExit
+	}
+	e.setPhase(phase)
+	deadline := time.Now().Add(e.cfg.DrainTimeout)
+	stamps := make([]int64, len(e.cores))
+	for phase == phaseDrain || e.liveCores.Load() > 0 {
+		now := time.Now()
+		e.coarseNanos.Store(now.UnixNano())
+		e.watchdog(now)
+		e.supervise(now.UnixNano())
+		moved := 0
+		if phase == phaseDrain {
+			moved = e.moveAll()
 			for _, m := range e.movers {
-				laneBacklog += e.drainLanes(m)
+				moved += e.drainLanes(m)
 			}
-			ran := false
-			for _, s := range e.stages {
-				if !s.schedulable() || s.rx.Len() == 0 {
-					continue
-				}
-				if s.tx.Len() >= e.cfg.RingSize-1-e.cfg.BatchSize {
-					continue
-				}
-				if s.rem != nil && !s.rem.grantable(e.cfg.BatchSize) {
-					continue // link out of credit: let acks (or the timeout) decide
-				}
-				// Yield flags are ignored: the goal is flushing, not
-				// fairness.
-				e.grantStage(s, timer, s.core)
-				ran = true
-			}
-			e.moveAll()
-			e.supervise(time.Now().UnixNano())
-			if !ran && laneBacklog == 0 {
-				if e.idleRings() && e.idleLanes() && e.idleRemotes() {
-					break
-				}
-				time.Sleep(50 * time.Microsecond)
+			e.coresQuiet(stamps)
+			if now.After(deadline) || moved == 0 && e.detached.Load() == 0 &&
+				e.idleRings() && e.idleLanes() && e.idleRemotes() && e.coresQuiet(stamps) {
+				phase = phaseExit
+				e.setPhase(phase)
+				continue
 			}
 		}
+		if moved == 0 {
+			time.Sleep(50 * time.Microsecond)
+		}
 	}
-	// Stop gate: from here on, Inject attempts are counted (LateDrops),
-	// not enqueued, and workers deliver nothing new into tx.
+	// Stop gate: from here on, Inject attempts are counted (LateDrops), not
+	// enqueued. Deliver what reached tx, then sweep what is left into the
+	// shutdown ledger.
 	e.stopped.Store(true)
-	// Release the workers and give them a bounded window; a handler
-	// wedged inside a packet cannot hold Run hostage.
-	for _, s := range e.stages {
-		closeGrant(s.w.Load())
-	}
-	exitWait := e.cfg.DrainTimeout
-	if exitWait <= 0 {
-		exitWait = 50 * time.Millisecond
-	}
-	if exitWait > time.Second {
-		exitWait = time.Second
-	}
-	waitDeadline := time.Now().Add(exitWait)
-	for e.liveWorkers.Load() > 0 && time.Now().Before(waitDeadline) {
-		time.Sleep(100 * time.Microsecond)
-	}
-	// Deliver what reached tx, then sweep what's left into the shutdown
-	// ledger: live in-flight claims first (a wedged worker waking later
-	// loses the Swap and recycles without counting), then every ring.
 	e.moveAll()
-	for _, s := range e.stages {
-		if k := s.w.Load().inflight.Swap(0); k > 0 {
-			e.ShutdownDrops.Add(uint64(k))
-		}
-	}
 	for _, s := range e.stages {
 		e.sweepRing(s.rx, &e.ShutdownDrops)
 		e.sweepRing(s.tx, &e.ShutdownDrops)

@@ -482,12 +482,14 @@ func contains(s, sub string) bool {
 	return false
 }
 
-// TestGrantTimerReuse: the grant deadline machinery must not wedge plain
-// healthy scheduling (timer Reset/Stop/drain reuse across thousands of
-// grants).
+// TestGrantTimerReuse: the grant deadline must not disturb plain healthy
+// scheduling. Across thousands of grants the control goroutine's watchdog
+// reads the core's grant stamp every tick and races the loop's end-of-grant
+// CAS, and it must never take a grant from a loop that is making progress.
 func TestGrantTimerReuse(t *testing.T) {
-	// The deadline must comfortably exceed worst-case goroutine scheduling
-	// latency (single-CPU -race runs), or healthy stages detach spuriously.
+	// The deadline must comfortably exceed worst-case scheduling latency
+	// (single-CPU -race runs: a core loop descheduled mid-grant keeps its
+	// stamp running), or healthy stages detach spuriously.
 	e := New(Config{RingSize: 512, BatchSize: 16, GrantTimeout: 50 * time.Millisecond})
 	s := e.AddStage("nf", 1024, func(p *Packet) {})
 	chain, _ := e.AddChain(s)

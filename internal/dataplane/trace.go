@@ -2,15 +2,15 @@ package dataplane
 
 // The flight recorder's packet-span half: a power-of-two 1-in-N sampler
 // stamps selected packets at inject and records per-hop wall-clock
-// timestamps — stage enter (worker dequeued it), stage exit (handler
+// timestamps — stage enter (its grant dequeued it), stage exit (handler
 // returned), move (handed on: published into the next stage's rx by the
-// worker, or drained from the last stage's tx ring by a mover) — plus
+// grant, or drained from the last stage's tx ring by a mover) — plus
 // inject and delivery, into pooled fixed-size Span records.
 //
 // Cost model: the unsampled path stays zero-allocation and zero-atomic —
 // when the recorder is disabled (Config.TraceSampleShift == 0) the only
 // additions to the hot path are a nil pointer check per batch (lane drain,
-// forward run, tx sweep) and a nil `span` field check per packet in the worker, all
+// forward run, tx sweep) and a nil `span` field check per packet in the grant, all
 // perfectly predicted; the allocation gate (TestSteadyStateZeroAllocs)
 // holds. With sampling enabled, the sampler pays one atomic add per
 // drained lane batch and sampled packets pay a handful of time.Now calls;
@@ -45,9 +45,9 @@ const MaxSpanHops = 16
 type HopStamp struct {
 	// Stage is the stage id (index into Engine.Stats).
 	Stage int32
-	// EnterNanos is when the stage's worker picked the packet up (handler
+	// EnterNanos is when the stage's grant picked the packet up (handler
 	// about to run); ExitNanos when the handler returned; MovedNanos when
-	// it was handed on: published into the next stage's rx by the worker
+	// it was handed on: published into the next stage's rx by the grant
 	// that processed it, or, at the chain's last hop, drained from the
 	// stage's tx ring by a mover.
 	EnterNanos int64
@@ -78,7 +78,7 @@ func (sp *Span) reset() {
 	*sp = Span{}
 }
 
-// stampEnter opens hop N: the stage's worker just dequeued the packet.
+// stampEnter opens hop N: the stage's grant just dequeued the packet.
 // The hop stays uncommitted until stampExit, so a handler that panics or
 // drops mid-hop leaves no half-written stamp visible to consumers.
 func (sp *Span) stampEnter(stageID int, now int64) {
@@ -224,7 +224,7 @@ func (e *Engine) abortSpan(p *Packet) {
 }
 
 // stampSpans is the hand-off pass over a batch leaving its stage — a run the
-// worker is about to forward, or a tx batch a mover is about to deliver —
+// grant is about to forward, or a tx batch a mover is about to deliver —
 // gated on the recorder being enabled: stamp the move time of each sampled
 // packet's last committed hop, and complete spans whose packet reached the
 // end of its chain. The clock is read once per batch that actually carries

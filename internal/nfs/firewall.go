@@ -20,51 +20,57 @@ type FirewallRule struct {
 	Action Verdict
 }
 
-func prefixMatch(addr, ruleAddr proto.IPv4Addr, plen int) bool {
+// fwRule is a FirewallRule compiled by AddRule: prefixes as mask and
+// masked network (mask 0 matches any address) and port ranges as inclusive
+// bounds, so matching a packet is compares only.
+type fwRule struct {
+	srcMask, srcNet, dstMask, dstNet uint32
+	srcLo, srcHi, dstLo, dstHi       uint16
+	// ports is set when the rule constrains a port, which a portless
+	// protocol can never satisfy.
+	ports  bool
+	proto  uint8
+	action Verdict
+}
+
+// prefixMask is the netmask of a prefix length (<= 0 matches any address).
+func prefixMask(plen int) uint32 {
 	if plen <= 0 {
-		return true
+		return 0
 	}
-	if plen > 32 {
-		plen = 32
-	}
-	mask := uint32(0xffffffff) << (32 - plen)
-	return uint32(addr)&mask == uint32(ruleAddr)&mask
+	return ^uint32(0) << (32 - min(plen, 32))
 }
 
-func portMatch(p, lo, hi uint16) bool {
-	if lo == 0 && hi == 0 {
-		return true
+// portRange normalises a rule's port bounds: 0-0 is any port, and a zero
+// upper bound means the single port lo.
+func portRange(lo, hi uint16) (uint16, uint16) {
+	switch {
+	case lo == 0 && hi == 0:
+		return 0, 0xffff
+	case hi == 0:
+		return lo, lo
 	}
-	if hi == 0 {
-		hi = lo
-	}
-	return p >= lo && p <= hi
+	return lo, hi
 }
 
-// Matches reports whether the rule covers the frame's 5-tuple.
-func (r *FirewallRule) Matches(t *proto.Tuple) bool {
-	if !t.HasIP() {
+// matches reports whether the rule covers an IP packet's 5-tuple.
+func (r *fwRule) matches(t *proto.Tuple) bool {
+	if r.proto != 0 && r.proto != t.Protocol {
 		return false
 	}
-	if r.Proto != 0 && r.Proto != t.Protocol {
-		return false
-	}
-	if !prefixMatch(t.Src, r.SrcAddr, r.SrcPrefixLen) {
-		return false
-	}
-	if !prefixMatch(t.Dst, r.DstAddr, r.DstPrefixLen) {
+	if uint32(t.Src)&r.srcMask != r.srcNet || uint32(t.Dst)&r.dstMask != r.dstNet {
 		return false
 	}
 	if !t.HasPorts() {
-		// Port constraints cannot match a portless protocol.
-		return r.SrcPortLo == 0 && r.SrcPortHi == 0 && r.DstPortLo == 0 && r.DstPortHi == 0
+		return !r.ports
 	}
-	return portMatch(t.SrcPort, r.SrcPortLo, r.SrcPortHi) && portMatch(t.DstPort, r.DstPortLo, r.DstPortHi)
+	return t.SrcPort >= r.srcLo && t.SrcPort <= r.srcHi &&
+		t.DstPort >= r.dstLo && t.DstPort <= r.dstHi
 }
 
 // Firewall is a stateless ordered-rule packet filter (first match wins).
 type Firewall struct {
-	rules []FirewallRule
+	rules []fwRule
 	// DefaultAction applies when no rule matches (default-deny posture
 	// unless configured otherwise).
 	DefaultAction Verdict
@@ -80,8 +86,21 @@ func NewFirewall(def Verdict) *Firewall {
 	return &Firewall{DefaultAction: def}
 }
 
-// AddRule appends a rule (evaluated in insertion order).
-func (fw *Firewall) AddRule(r FirewallRule) { fw.rules = append(fw.rules, r) }
+// AddRule appends a rule (evaluated in insertion order), compiled once here
+// rather than per packet.
+func (fw *Firewall) AddRule(r FirewallRule) {
+	c := fwRule{
+		srcMask: prefixMask(r.SrcPrefixLen),
+		dstMask: prefixMask(r.DstPrefixLen),
+		ports:   r.SrcPortLo != 0 || r.SrcPortHi != 0 || r.DstPortLo != 0 || r.DstPortHi != 0,
+		proto:   r.Proto,
+		action:  r.Action,
+	}
+	c.srcNet, c.dstNet = uint32(r.SrcAddr)&c.srcMask, uint32(r.DstAddr)&c.dstMask
+	c.srcLo, c.srcHi = portRange(r.SrcPortLo, r.SrcPortHi)
+	c.dstLo, c.dstHi = portRange(r.DstPortLo, r.DstPortHi)
+	fw.rules = append(fw.rules, c)
+}
 
 // Name implements Processor.
 func (fw *Firewall) Name() string { return "firewall" }
@@ -101,8 +120,8 @@ func (fw *Firewall) Process(frame []byte) Verdict {
 	}
 	v := fw.DefaultAction
 	for i := range fw.rules {
-		if fw.rules[i].Matches(&t) {
-			v = fw.rules[i].Action
+		if fw.rules[i].matches(&t) {
+			v = fw.rules[i].action
 			break
 		}
 	}
