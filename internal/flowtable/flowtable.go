@@ -2,7 +2,7 @@
 // looks up each arriving packet's 5-tuple to find the service chain it
 // belongs to. Exact-match entries are populated on demand (flow-cache style)
 // from installed rules, mirroring OpenNetVM's flow director with an SDN-fed
-// rule installer.
+// rule installer. Map is the per-flow state table of the NFs themselves.
 package flowtable
 
 import (

@@ -3,7 +3,7 @@ package nfs
 import (
 	"encoding/binary"
 
-	"nfvnice/internal/packet"
+	"nfvnice/internal/flowtable"
 	"nfvnice/internal/proto"
 )
 
@@ -23,7 +23,7 @@ type LoadBalancer struct {
 	PassedThrough uint64
 	PerBackend    []uint64
 
-	flows map[packet.Key]int
+	flows *flowtable.Map[int] // backend index per flow
 }
 
 // NewLoadBalancer returns a balancer for vip over backends.
@@ -32,7 +32,7 @@ func NewLoadBalancer(vip proto.IPv4Addr, backends []proto.IPv4Addr) *LoadBalance
 		VIP:        vip,
 		backends:   append([]proto.IPv4Addr(nil), backends...),
 		PerBackend: make([]uint64, len(backends)),
-		flows:      make(map[packet.Key]int),
+		flows:      flowtable.NewMap[int](0),
 	}
 }
 
@@ -75,14 +75,12 @@ func (lb *LoadBalancer) Process(frame []byte) Verdict {
 		lb.PassedThrough++
 		return Accept
 	}
-	k := keyOf(&t)
-	idx, ok := lb.flows[k]
-	if !ok {
-		idx = lb.rendezvous(&t)
-		lb.flows[k] = idx
-		lb.PerBackend[idx]++
+	idx, found := lb.flows.Upsert(keyOf(&t))
+	if !found {
+		*idx = lb.rendezvous(&t)
+		lb.PerBackend[*idx]++
 	}
-	backend := lb.backends[idx]
+	backend := lb.backends[*idx]
 
 	ipb, l4 := frame[proto.EthernetHeaderLen:], frame[t.L4:]
 	oldAddr := binary.BigEndian.Uint32(ipb[16:20])
@@ -100,4 +98,4 @@ func (lb *LoadBalancer) Process(frame []byte) Verdict {
 }
 
 // ActiveFlows reports tracked flows.
-func (lb *LoadBalancer) ActiveFlows() int { return len(lb.flows) }
+func (lb *LoadBalancer) ActiveFlows() int { return lb.flows.Len() }

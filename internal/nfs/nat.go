@@ -3,6 +3,7 @@ package nfs
 import (
 	"encoding/binary"
 
+	"nfvnice/internal/flowtable"
 	"nfvnice/internal/packet"
 	"nfvnice/internal/proto"
 )
@@ -19,16 +20,24 @@ type NAT struct {
 	Internal func(proto.IPv4Addr) bool
 
 	nextPort uint16
-	// outbound maps an internal connection to its allocated port; inbound
-	// maps the port back to the connection.
-	outbound map[packet.Key]uint16
-	inbound  map[uint16]packet.Key
+	// outbound maps an internal connection to its allocated port; inbound,
+	// indexed by port-natPortLo, maps the port back to the connection (the
+	// zero Key: unbound; a translatable flow has a protocol, so never packs
+	// to it).
+	outbound *flowtable.Map[uint16]
+	inbound  []packet.Key
 
 	// Translated, Untranslatable and PortExhausted count outcomes.
 	Translated     uint64
 	Untranslatable uint64
 	PortExhausted  uint64
 }
+
+// The external ports the NAT allocates: [natPortLo, 65535].
+const (
+	natPortLo = 20000
+	natPorts  = 1<<16 - natPortLo
+)
 
 // NewNAT returns a NAT owning the external address; internal classifies
 // inside addresses (nil means "everything not equal to External").
@@ -39,9 +48,11 @@ func NewNAT(external proto.IPv4Addr, internal func(proto.IPv4Addr) bool) *NAT {
 	return &NAT{
 		External: external,
 		Internal: internal,
-		nextPort: 20000,
-		outbound: make(map[packet.Key]uint16),
-		inbound:  make(map[uint16]packet.Key),
+		nextPort: natPortLo,
+		// Sized once for every port bound: a NAT never holds more
+		// bindings than that, so its table never doubles.
+		outbound: flowtable.NewMap[uint16](natPorts),
+		inbound:  make([]packet.Key, natPorts),
 	}
 }
 
@@ -49,7 +60,7 @@ func NewNAT(external proto.IPv4Addr, internal func(proto.IPv4Addr) bool) *NAT {
 func (n *NAT) Name() string { return "nat" }
 
 // Bindings reports active translations.
-func (n *NAT) Bindings() int { return len(n.outbound) }
+func (n *NAT) Bindings() int { return n.outbound.Len() }
 
 // csumUpdate16 folds a 16-bit field change into an internet checksum per
 // RFC 1624: HC' = ~(~HC + ~m + m').
@@ -84,23 +95,27 @@ func (n *NAT) Process(frame []byte) Verdict {
 	case n.Internal(t.Src):
 		// Outbound: allocate (or reuse) a port, rewrite source.
 		k := keyOf(&t)
-		port, ok := n.outbound[k]
-		if !ok {
-			port, ok = n.allocPort()
+		port := n.outbound.Get(k)
+		if port == nil {
+			p, ok := n.allocPort()
 			if !ok {
 				n.PortExhausted++
 				return Drop
 			}
-			n.outbound[k] = port
-			n.inbound[port] = k
+			port, _ = n.outbound.Upsert(k)
+			*port = p
+			n.inbound[p-natPortLo] = k
 		}
-		rewrite(ipb, l4, t.Protocol, srcAddrOff, srcPortOff, n.External, port)
+		rewrite(ipb, l4, t.Protocol, srcAddrOff, srcPortOff, n.External, *port)
 		n.Translated++
 		return Accept
 	case t.Dst == n.External:
 		// Inbound: look up the binding by destination port.
-		k, ok := n.inbound[t.DstPort]
-		if !ok {
+		if t.DstPort < natPortLo {
+			return Drop // never allocated
+		}
+		k := n.inbound[t.DstPort-natPortLo]
+		if k == (packet.Key{}) {
 			return Drop // unsolicited
 		}
 		orig := k.FlowKey()
@@ -113,17 +128,20 @@ func (n *NAT) Process(frame []byte) Verdict {
 	}
 }
 
+// allocPort hands out the next free port, round robin over the range. With
+// every port bound it fails at once rather than scanning the range per
+// packet; otherwise one full lap finds a free port.
 func (n *NAT) allocPort() (uint16, bool) {
-	for tries := 0; tries < 45000; tries++ {
+	if n.outbound.Len() == natPorts {
+		return 0, false
+	}
+	for tries := 0; tries < natPorts; tries++ {
 		p := n.nextPort
 		n.nextPort++
 		if n.nextPort == 0 {
-			n.nextPort = 20000
+			n.nextPort = natPortLo
 		}
-		if p < 20000 {
-			continue
-		}
-		if _, used := n.inbound[p]; !used {
+		if n.inbound[p-natPortLo] == (packet.Key{}) {
 			return p, true
 		}
 	}

@@ -62,7 +62,8 @@ func AdaptBatch(p Processor) dataplane.BatchHandler {
 	}
 }
 
-// keyOf packs a frame's 5-tuple into the flow key every NF map keys on.
+// keyOf packs a frame's 5-tuple into the flow key of every NF's per-flow
+// state, a flowtable.Map.
 func keyOf(t *proto.Tuple) packet.Key {
 	return packet.PackKey(uint32(t.Src), uint32(t.Dst), t.SrcPort, t.DstPort, t.Protocol)
 }

@@ -226,6 +226,73 @@ func TestNATUnsolicitedInboundDropped(t *testing.T) {
 	}
 }
 
+// TestNATExhaustedFailsFast binds every external port, then sends an
+// unbound flow: its packets must be dropped and counted at once, not after a
+// scan of the whole port range per packet.
+func TestNATExhaustedFailsFast(t *testing.T) {
+	n := NewNAT(natIP, nil)
+	for i := 0; i < natPorts; i++ {
+		src := proto.IPv4Addr(uint32(insideA) + uint32(i>>15))
+		if n.Process(udpFrame(src, outside, uint16(1024+i&0x7fff), 53, "")) != Accept {
+			t.Fatalf("binding %d of %d refused", i, natPorts)
+		}
+	}
+	if n.Bindings() != natPorts || n.PortExhausted != 0 {
+		t.Fatalf("bindings = %d, exhausted = %d; want %d, 0", n.Bindings(), n.PortExhausted, natPorts)
+	}
+	tpl := udpFrame(proto.Addr4(10, 9, 9, 9), outside, 4242, 53, "")
+	fr := make([]byte, len(tpl))
+	var wrong, calls int
+	res := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			copy(fr, tpl)
+			if n.Process(fr) != Drop {
+				wrong++
+			}
+		}
+		calls += b.N
+	})
+	if wrong != 0 || n.PortExhausted != uint64(calls) {
+		t.Fatalf("%d of %d packets passed, %d counted exhausted", wrong, calls, n.PortExhausted)
+	}
+	ns := res.NsPerOp()
+	if ns > 50_000 {
+		t.Fatalf("an exhausted NAT takes %d ns per unbound packet; want under 50 µs", ns)
+	}
+	t.Logf("%d ns per unbound packet", ns)
+}
+
+// TestFlowHitPathsZeroAllocs: once a flow is known, the load balancer and
+// the per-flow rate limiter update its state in place.
+func TestFlowHitPathsZeroAllocs(t *testing.T) {
+	vip := proto.Addr4(198, 51, 100, 100)
+	lb := NewLoadBalancer(vip, []proto.IPv4Addr{proto.Addr4(10, 0, 1, 1), proto.Addr4(10, 0, 1, 2)})
+	rl := NewRateLimiter(1e12, 1e12, true)
+	frames := make([][]byte, 64)
+	for i := range frames {
+		frames[i] = tcpFrame(proto.Addr4(10, 0, 0, byte(i)), vip, uint16(1000+i), 80, "x")
+	}
+	scratch := make([]byte, len(frames[0]))
+	for _, nf := range []Processor{lb, rl} {
+		pass := func() {
+			for _, fr := range frames {
+				copy(scratch, fr) // the balancer rewrites the destination
+				if nf.Process(scratch) != Accept {
+					t.Fatalf("%s dropped a packet", nf.Name())
+				}
+			}
+		}
+		pass() // warm: every flow inserted
+		if allocs := testing.AllocsPerRun(100, pass); allocs != 0 {
+			t.Errorf("%s hit path allocates: %.1f allocs per %d packets", nf.Name(), allocs, len(frames))
+		}
+	}
+	if lb.ActiveFlows() != len(frames) || lb.PassedThrough != 0 {
+		t.Fatalf("load balancer tracks %d flows and passed %d packets through; want %d and 0",
+			lb.ActiveFlows(), lb.PassedThrough, len(frames))
+	}
+}
+
 func TestRouterLPM(t *testing.T) {
 	r := NewRouter()
 	r.AddRoute(proto.Addr4(0, 0, 0, 0), 0, 1)   // default

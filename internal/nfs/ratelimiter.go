@@ -1,7 +1,7 @@
 package nfs
 
 import (
-	"nfvnice/internal/packet"
+	"nfvnice/internal/flowtable"
 	"nfvnice/internal/proto"
 )
 
@@ -18,7 +18,7 @@ type RateLimiter struct {
 	PerFlow bool
 
 	now     float64 // seconds, advanced by Tick
-	buckets map[packet.Key]*bucket
+	buckets *flowtable.Map[bucket]
 	agg     bucket
 
 	// Conformed and Policed count outcomes.
@@ -37,7 +37,7 @@ func NewRateLimiter(rateBps, burstBytes float64, perFlow bool) *RateLimiter {
 		RateBps:    rateBps,
 		BurstBytes: burstBytes,
 		PerFlow:    perFlow,
-		buckets:    make(map[packet.Key]*bucket),
+		buckets:    flowtable.NewMap[bucket](0),
 	}
 	rl.agg.tokens = burstBytes
 	return rl
@@ -57,11 +57,9 @@ func (rl *RateLimiter) bucketFor(t *proto.Tuple) *bucket {
 	if !rl.PerFlow {
 		return &rl.agg
 	}
-	k := keyOf(t)
-	b := rl.buckets[k]
-	if b == nil {
-		b = &bucket{tokens: rl.BurstBytes, last: rl.now}
-		rl.buckets[k] = b
+	b, found := rl.buckets.Upsert(keyOf(t))
+	if !found {
+		*b = bucket{tokens: rl.BurstBytes, last: rl.now}
 	}
 	return b
 }

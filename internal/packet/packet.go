@@ -37,10 +37,12 @@ type FlowKey struct {
 	Proto            Proto
 }
 
-// Key is a 5-tuple packed into two words, the one layout every flow map
+// Key is a 5-tuple packed into two words, the one layout every flow table
 // keys on: both addresses in one word, ports and protocol in the other.
-// Go's map hashes and compares it as 16 plain bytes — no padding, no
-// generated per-field equality.
+// Two word compares decide equality, and Hash mixes the two words, so the
+// NFs' flowtable.Map and the flow director's flowtable.Sharded probe it
+// without calling into Go's map code. The zero Key is the empty slot of
+// flowtable.Map.
 type Key struct {
 	Addrs uint64 // SrcIP<<32 | DstIP
 	Ports uint64 // SrcPort<<24 | DstPort<<8 | Proto
